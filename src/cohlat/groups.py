@@ -12,7 +12,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, IdentityNotZero, NotAGroup, ValidationError
+from .errors import (BudgetExceeded, IdentityNotZero, InternalInvariant,
+                     NotAGroup, ValidationError)
 from .linalg import invariant_factors, row_hnf
 
 MAX_ORDER = 1024
@@ -279,13 +280,11 @@ class Subgroup:
 def _conjugacy_key(group: FiniteGroup, elements: np.ndarray) -> Tuple[int, ...]:
     """Lexicographically smallest conjugate element tuple; canonical class id."""
     t, inv = group.table, group.inv
-    best = None
-    for g in range(group.order):
-        conj = np.sort(t[t[inv[g], elements], g])
-        key = tuple(int(x) for x in conj)
-        if best is None or key < best:
-            best = key
-    return best
+    everyone = np.arange(group.order)
+    # row g holds the sorted conjugate g^-1 H g
+    conj = np.sort(t[t[inv[:, None], elements], everyone[:, None]], axis=1)
+    best = np.lexsort(conj.T[::-1])[0]
+    return tuple(int(x) for x in conj[best])
 
 
 def subgroup_classes(group: FiniteGroup, cap: int = 10000) -> List[Subgroup]:
@@ -379,7 +378,8 @@ def abelianization(group: FiniteGroup) -> List[int]:
     hnf, _, _ = row_hnf(np.array(rels))
     facs = invariant_factors(hnf)
     free = m - hnf.shape[0]
-    assert free == 0, "commutator quotient of a finite group must be finite"
+    if free != 0:
+        raise InternalInvariant("commutator quotient of a finite group must be finite")
     return facs
 
 

@@ -11,9 +11,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import IncompatibleOperands
+from .errors import IncompatibleOperands, InternalInvariant
 
-MAX_MOD_EXP = 12
+MAX_MOD_EXP = 12  # at most 16: Howell elimination runs on uint8/uint16 words
 
 # trailing-zero lookup for residues mod 2^k, k <= MAX_MOD_EXP
 _TZ = np.zeros(1 << MAX_MOD_EXP, dtype=np.int64)
@@ -37,6 +37,13 @@ def _inv_pow2(a: int, k: int) -> int:
 # first t coordinates vanish is a combination of the rows with pivots beyond
 # column t.  Plain echelon forms do not have that property when zero
 # divisors are around, and kernel extraction below relies on it.
+#
+# Elimination runs on narrow unsigned words (uint8 for k <= 8, uint16 for
+# k <= 16) and reduces with the mask 2^k - 1.  Unsigned arithmetic wraps
+# modulo 2^8 or 2^16, and 2^k divides that word modulus, so every product,
+# difference and shift is exact mod 2^k before the mask is applied.  That
+# needs k <= 16, which MAX_MOD_EXP guarantees.  Results go back to callers
+# as int64.
 
 
 @dataclass
@@ -50,24 +57,38 @@ class HowellForm:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def reduce(self, b: np.ndarray) -> np.ndarray:
+        """Canonical residue of b (a vector or rows) modulo the row span."""
+        mask = (1 << self.modulus_exp) - 1
+        b = np.asarray(b, dtype=np.int64) & mask
+        one = b.ndim == 1
+        res = b[None, :] if one else b
+        for i, (col, v) in enumerate(self.pivots):
+            q = res[:, col] >> v
+            nz = np.nonzero(q)[0]
+            if nz.size:
+                res[nz] = (res[nz] - np.outer(q[nz], self.matrix[i])) & mask
+        return res[0] if one else res
+
 
 def howell_form(a: np.ndarray, k: int, transform: bool = False) -> HowellForm:
     """Canonical Howell form of integer matrix `a` taken mod 2^k."""
     if not 1 <= k <= MAX_MOD_EXP:
         raise IncompatibleOperands(f"modulus exponent {k} outside 1..{MAX_MOD_EXP}")
-    m = 1 << k
+    mask = (1 << k) - 1
+    word = np.uint8 if k <= 8 else np.uint16
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise IncompatibleOperands("expected a 2-D matrix")
     nrows, ncols = a.shape
     # room for shadow rows; grown on demand
     cap = nrows + 8
-    work = np.zeros((cap, ncols), dtype=np.int64)
-    work[:nrows] = a % m
+    work = np.zeros((cap, ncols), dtype=word)
+    work[:nrows] = a & mask
     tmat = None
     if transform:
-        tmat = np.zeros((cap, nrows), dtype=np.int64)
-        tmat[:nrows, :nrows] = np.eye(nrows, dtype=np.int64)
+        tmat = np.zeros((cap, nrows), dtype=word)
+        tmat[:nrows, :nrows] = np.eye(nrows, dtype=word)
     live = nrows
     done = 0
     pivots: List[Tuple[int, int]] = []
@@ -87,37 +108,38 @@ def howell_form(a: np.ndarray, k: int, transform: bool = False) -> HowellForm:
                 tmat[[done, pick]] = tmat[[pick, done]]
         odd = int(work[done, col]) >> v
         if odd != 1:
-            u = _inv_pow2(odd, k)
-            work[done] = (work[done] * u) % m
+            u = word(_inv_pow2(odd, k))
+            work[done] = (work[done] * u) & mask
             if tmat is not None:
-                tmat[done] = (tmat[done] * u) % m
+                tmat[done] = (tmat[done] * u) & mask
         # eliminate the column everywhere else; above-rows end up reduced mod 2^v
         q = work[:live, col] >> v
         q[done] = 0
         rows = np.nonzero(q)[0]
         if rows.size:
-            work[rows] = (work[rows] - np.outer(q[rows], work[done])) % m
+            work[rows] = (work[rows] - np.outer(q[rows], work[done])) & mask
             if tmat is not None:
-                tmat[rows] = (tmat[rows] - np.outer(q[rows], tmat[done])) % m
+                tmat[rows] = (tmat[rows] - np.outer(q[rows], tmat[done])) & mask
         if v > 0:
-            shadow = (work[done] << (k - v)) % m
+            shadow = (work[done] << (k - v)) & mask
             if shadow.any():
                 if live == cap:
                     grow = max(8, cap // 2)
-                    work = np.vstack([work, np.zeros((grow, ncols), dtype=np.int64)])
+                    work = np.vstack([work, np.zeros((grow, ncols), dtype=word)])
                     if tmat is not None:
-                        tmat = np.vstack([tmat, np.zeros((grow, nrows), dtype=np.int64)])
+                        tmat = np.vstack([tmat, np.zeros((grow, nrows), dtype=word)])
                     cap += grow
                 work[live] = shadow
                 if tmat is not None:
-                    tmat[live] = (tmat[done] << (k - v)) % m
+                    tmat[live] = (tmat[done] << (k - v)) & mask
                 live += 1
         pivots.append((col, v))
         done += 1
-    assert not work[done:live].any(), "rows past the pivot block must be zero"
-    return HowellForm(work[:done].copy(),
+    if work[done:live].any():
+        raise InternalInvariant("Howell form: rows past the pivot block must be zero")
+    return HowellForm(work[:done].astype(np.int64),
                       pivots,
-                      tmat[:done].copy() if tmat is not None else None,
+                      tmat[:done].astype(np.int64) if tmat is not None else None,
                       k)
 
 
@@ -137,7 +159,8 @@ class ModKSolver:
         Returns (X, ok) where ok[i] is False when row i had no solution
         (X[i] is garbage in that case).
         """
-        rhs = np.asarray(rhs, dtype=np.int64) % self.m
+        mask = self.m - 1
+        rhs = np.asarray(rhs, dtype=np.int64) & mask
         if rhs.ndim == 1:
             rhs = rhs[None, :]
         if rhs.shape[1] != self.ncols:
@@ -149,8 +172,8 @@ class ModKSolver:
             q = res[:, col] >> v
             nz = np.nonzero(q)[0]
             if nz.size:
-                res[nz] = (res[nz] - np.outer(q[nz], hmat[i])) % self.m
-                x[nz] = (x[nz] + np.outer(q[nz], tmat[i])) % self.m
+                res[nz] = (res[nz] - np.outer(q[nz], hmat[i])) & mask
+                x[nz] = (x[nz] + np.outer(q[nz], tmat[i])) & mask
         ok = ~res.any(axis=1)
         return x, ok
 
@@ -160,15 +183,7 @@ class ModKSolver:
 
     def reduce(self, b: np.ndarray) -> np.ndarray:
         """Canonical residue of b modulo the row span."""
-        b = np.asarray(b, dtype=np.int64) % self.m
-        one = b.ndim == 1
-        res = (b[None, :] if one else b).copy()
-        for i, (col, v) in enumerate(self.hf.pivots):
-            q = res[:, col] >> v
-            nz = np.nonzero(q)[0]
-            if nz.size:
-                res[nz] = (res[nz] - np.outer(q[nz], self.hf.matrix[i])) % self.m
-        return res[0] if one else res
+        return self.hf.reduce(b)
 
     def contains(self, b: np.ndarray) -> bool:
         return not self.reduce(b).any()
@@ -178,20 +193,14 @@ def kernel_basis_modk(mat: np.ndarray, k: int) -> np.ndarray:
     """Howell basis of {x : x @ mat = 0 mod 2^k}."""
     mat = np.asarray(mat, dtype=np.int64)
     nrows, ncols = mat.shape
-    m = 1 << k
     aug = np.zeros((nrows, ncols + nrows), dtype=np.int64)
-    aug[:, :ncols] = mat % m
+    aug[:, :ncols] = mat
     aug[:, ncols:] = np.eye(nrows, dtype=np.int64)
     hf = howell_form(aug, k)
     lead = [i for i, (c, _) in enumerate(hf.pivots) if c >= ncols]
     if not lead:
         return np.zeros((0, nrows), dtype=np.int64)
     return hf.matrix[lead[0]:, ncols:].copy()
-
-
-def image_howell(mat: np.ndarray, k: int) -> HowellForm:
-    """Canonical form of the row span of mat over Z/2^k."""
-    return howell_form(mat, k)
 
 
 def modk_spans_equal(a: np.ndarray, b: np.ndarray, k: int) -> bool:
@@ -236,12 +245,6 @@ class GF2Matrix:
         raw = self.words.view(np.uint8)
         bits = np.unpackbits(raw, axis=1, bitorder="little")
         return bits[:, : self.ncols].copy()
-
-    def get_bit(self, r: int, c: int) -> int:
-        return int((self.words[r, c >> 6] >> np.uint64(c & 63)) & np.uint64(1))
-
-    def _column(self, c: int) -> np.ndarray:
-        return ((self.words[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)).astype(bool)
 
     def copy(self) -> "GF2Matrix":
         return GF2Matrix(self.nrows, self.ncols, self.words.copy())
@@ -296,9 +299,6 @@ class GF2Matrix:
         ker = GF2Matrix(k, self.nrows, tm.words[len(pivots):].copy())
         red2, _, _ = ker.rref()
         return GF2Matrix(k, self.nrows, red2.words[:k])
-
-    def take_rows(self, n: int) -> "GF2Matrix":
-        return GF2Matrix(n, self.ncols, self.words[:n].copy())
 
 
 def gf2_rref_dense(arr: np.ndarray):

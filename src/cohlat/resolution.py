@@ -16,7 +16,8 @@ import numpy as np
 from .errors import (BudgetExceeded, IncompatibleOperands, InternalInvariant,
                      LiftFailed, ValidationError)
 from .groups import FiniteGroup, Subgroup
-from .linalg import MAX_MOD_EXP, ModKSolver, kernel_basis_modk, modk_spans_equal
+from .linalg import (MAX_MOD_EXP, ModKSolver, howell_form, kernel_basis_modk,
+                     modk_spans_equal)
 
 MAX_RESOLUTION_DEGREE = 12
 
@@ -156,19 +157,26 @@ def _span_row_generators(cx: GModuleComplex, degree: int,
 
 def _minimal_generators(cx: GModuleComplex, degree: int,
                         kernel_rows: np.ndarray) -> np.ndarray:
-    """Greedy minimal module generators of the kernel span (Nakayama)."""
+    """Greedy minimal module generators of the kernel span (Nakayama).
+
+    A row is selected when it lies outside the span of m*K and the rows
+    selected before it. The span is factored once; each selection adds the
+    row's residue (same span as the row) and refactors the echelon rows plus
+    that one. A row and its residue differ by an element of the span, so the
+    later rows are carried as residues and reduced once per selection.
+    """
     if kernel_rows.shape[0] == 0:
         return kernel_rows
-    base = ModKSolver(_span_row_generators(cx, degree, kernel_rows), cx.k)
-    selected: List[np.ndarray] = []
-    solver = base
-    for w in kernel_rows:
-        if solver.contains(w):
+    span = howell_form(_span_row_generators(cx, degree, kernel_rows), cx.k)
+    residues = span.reduce(kernel_rows)
+    selected: List[int] = []
+    for i in range(kernel_rows.shape[0]):
+        if not residues[i].any():
             continue
-        selected.append(w)
-        stacked = np.vstack([base.hf.matrix] + selected)
-        solver = ModKSolver(stacked, cx.k)
-    return np.array(selected, dtype=np.int64)
+        selected.append(i)
+        span = howell_form(np.vstack([span.matrix, residues[i]]), cx.k)
+        residues[i + 1:] = span.reduce(residues[i + 1:])
+    return kernel_rows[selected]
 
 
 _RES_CACHE: Dict[Tuple[FiniteGroup, int], GModuleComplex] = {}

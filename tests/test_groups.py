@@ -3,11 +3,12 @@ import numpy as np
 import pytest
 
 from cohlat.errors import IdentityNotZero, NotAGroup, ValidationError
-from cohlat.groups import (FiniteGroup, Subgroup, abelianization, builtin_group,
-                           closure, commutator_subgroup, cyclic_group,
-                           dihedral_group, direct_product, group_from_json,
-                           load_group, quaternion_group, quotient_group,
-                           subgroup_classes, sylow2_sz8)
+from cohlat.groups import (FiniteGroup, Subgroup, _conjugacy_key,
+                           abelianization, builtin_group, closure,
+                           commutator_subgroup, cyclic_group, dihedral_group,
+                           direct_product, group_from_json, load_group,
+                           quaternion_group, quotient_group, subgroup_classes,
+                           sylow2_sz8)
 
 
 # --- independent oracle helpers (no library code) ---
@@ -168,6 +169,21 @@ def test_subgroup_classes_match_oracle(name):
     expected = {_oracle_class_key(table, h) for h in allsubs}
     got = {s.key() for s in subgroup_classes(g)}
     assert got == expected
+
+
+def _loop_conjugacy_key(group, elements):
+    """One conjugate at a time, compared as Python tuples."""
+    t, inv = group.table, group.inv
+    return min(tuple(sorted(int(t[t[inv[g], x], g]) for x in elements))
+               for g in range(group.order))
+
+
+def test_conjugacy_key_matches_loop_reference():
+    g = sylow2_sz8()
+    for s in subgroup_classes(g):
+        for x in (0, 9, 37, 63):
+            conj = g.table[g.table[g.inv[x], s.elements], x]
+            assert _conjugacy_key(g, conj) == _loop_conjugacy_key(g, conj) == s.key()
 
 
 def test_subgroup_class_counts_frozen():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cohlat.linalg import (
+    MAX_MOD_EXP,
     GF2Matrix,
     IntSolver,
     ModKSolver,
@@ -283,3 +284,161 @@ def test_modk_quotient_matches_naive_enumeration():
                     t += 1
                 expo = max(expo, t)
             assert (facs[-1] if facs else 1) == expo
+
+
+# ---------------------------------------------------------------------------
+# Narrow-word Howell kernels against an int64 reference
+# ---------------------------------------------------------------------------
+#
+# The reference below is the plain int64 elimination with `% m` reductions
+# that the uint8/uint16 kernels replaced. Both make the same pivot choices
+# and are exact mod 2^k, so every returned array must agree bit for bit.
+
+
+def _ref_tz(vals, k):
+    return np.array([k if x == 0 else (x & -x).bit_length() - 1
+                     for x in (int(y) for y in vals)], dtype=np.int64)
+
+
+def _ref_howell_form(a, k, transform=False):
+    m = 1 << k
+    a = np.asarray(a, dtype=np.int64)
+    nrows, ncols = a.shape
+    cap = nrows + 8
+    work = np.zeros((cap, ncols), dtype=np.int64)
+    work[:nrows] = a % m
+    tmat = None
+    if transform:
+        tmat = np.zeros((cap, nrows), dtype=np.int64)
+        tmat[:nrows, :nrows] = np.eye(nrows, dtype=np.int64)
+    live = nrows
+    done = 0
+    pivots = []
+    for col in range(ncols):
+        if done == live:
+            break
+        colvals = work[done:live, col]
+        nz = np.nonzero(colvals)[0]
+        if nz.size == 0:
+            continue
+        vals = _ref_tz(colvals[nz], k)
+        v = int(vals.min())
+        pick = done + int(nz[np.argmax(vals == v)])
+        if pick != done:
+            work[[done, pick]] = work[[pick, done]]
+            if tmat is not None:
+                tmat[[done, pick]] = tmat[[pick, done]]
+        odd = int(work[done, col]) >> v
+        if odd != 1:
+            u = pow(odd, -1, m)
+            work[done] = (work[done] * u) % m
+            if tmat is not None:
+                tmat[done] = (tmat[done] * u) % m
+        q = work[:live, col] >> v
+        q[done] = 0
+        rows = np.nonzero(q)[0]
+        if rows.size:
+            work[rows] = (work[rows] - np.outer(q[rows], work[done])) % m
+            if tmat is not None:
+                tmat[rows] = (tmat[rows] - np.outer(q[rows], tmat[done])) % m
+        if v > 0:
+            shadow = (work[done] << (k - v)) % m
+            if shadow.any():
+                if live == cap:
+                    grow = max(8, cap // 2)
+                    work = np.vstack([work, np.zeros((grow, ncols), dtype=np.int64)])
+                    if tmat is not None:
+                        tmat = np.vstack([tmat, np.zeros((grow, nrows), dtype=np.int64)])
+                    cap += grow
+                work[live] = shadow
+                if tmat is not None:
+                    tmat[live] = (tmat[done] << (k - v)) % m
+                live += 1
+        pivots.append((col, v))
+        done += 1
+    return work[:done].copy(), pivots, (tmat[:done].copy() if tmat is not None else None)
+
+
+def _ref_solve_many(a, k, rhs):
+    m = 1 << k
+    hmat, pivots, tmat = _ref_howell_form(a, k, transform=True)
+    res = np.asarray(rhs, dtype=np.int64) % m
+    x = np.zeros((res.shape[0], a.shape[0]), dtype=np.int64)
+    for i, (col, v) in enumerate(pivots):
+        q = res[:, col] >> v
+        nz = np.nonzero(q)[0]
+        if nz.size:
+            res[nz] = (res[nz] - np.outer(q[nz], hmat[i])) % m
+            x[nz] = (x[nz] + np.outer(q[nz], tmat[i])) % m
+    return x, ~res.any(axis=1)
+
+
+def _ref_kernel_basis_modk(mat, k):
+    nrows, ncols = mat.shape
+    aug = np.zeros((nrows, ncols + nrows), dtype=np.int64)
+    aug[:, :ncols] = mat % (1 << k)
+    aug[:, ncols:] = np.eye(nrows, dtype=np.int64)
+    hmat, pivots, _ = _ref_howell_form(aug, k)
+    lead = [i for i, (c, _) in enumerate(pivots) if c >= ncols]
+    if not lead:
+        return np.zeros((0, nrows), dtype=np.int64)
+    return hmat[lead[0]:, ncols:].copy()
+
+
+def _random_modk_matrices(k, rng):
+    """Shapes from 1x1 to 24x20, with plain, torsion-heavy, low-rank and
+    out-of-range (negative, wider than 2^k) entries."""
+    m = 1 << k
+    for _ in range(12):
+        nr, nc = int(rng.integers(1, 25)), int(rng.integers(1, 21))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            a = rng.integers(0, m, size=(nr, nc))
+        elif kind == 1:
+            # entries 2^j * odd: pivots of every valuation, many shadow rows
+            expo = rng.integers(0, k + 1, size=(nr, nc))
+            a = (rng.integers(0, m, size=(nr, nc)) << expo) % m
+        elif kind == 2:
+            r = int(rng.integers(1, min(nr, nc) + 1))
+            a = rng.integers(0, m, size=(nr, r)) @ rng.integers(0, m, size=(r, nc))
+        else:
+            a = rng.integers(-(1 << 20), 1 << 20, size=(nr, nc))
+        yield np.asarray(a, dtype=np.int64)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 12])
+def test_narrow_howell_matches_int64_reference(k):
+    m = 1 << k
+    rng = np.random.default_rng(1000 + k)
+    for a in _random_modk_matrices(k, rng):
+        ref_h, ref_piv, _ = _ref_howell_form(a, k)
+        hf = howell_form(a, k)
+        assert hf.matrix.dtype == np.int64 and hf.transform is None
+        assert hf.pivots == ref_piv
+        assert np.array_equal(hf.matrix, ref_h)
+
+        ref_h, ref_piv, ref_t = _ref_howell_form(a, k, transform=True)
+        hf = howell_form(a, k, transform=True)
+        assert hf.transform.dtype == np.int64
+        assert hf.pivots == ref_piv
+        assert np.array_equal(hf.matrix, ref_h)
+        assert np.array_equal(hf.transform, ref_t)
+        assert np.array_equal((hf.transform @ a) % m, hf.matrix)
+
+        rhs = np.vstack([rng.integers(0, m, size=(3, a.shape[0])) @ a,
+                         rng.integers(-m, 2 * m, size=(3, a.shape[1]))])
+        x, ok = ModKSolver(a, k).solve_many(rhs)
+        ref_x, ref_ok = _ref_solve_many(a, k, rhs)
+        assert np.array_equal(ok, ref_ok) and ok[:3].all()
+        assert np.array_equal(x, ref_x)
+        assert np.array_equal((x[ok] @ a) % m, rhs[ok] % m)
+
+        ker = kernel_basis_modk(a, k)
+        assert np.array_equal(ker, _ref_kernel_basis_modk(a, k))
+        assert not ((ker @ a) % m).any()
+
+
+def test_modulus_budget_fits_the_narrow_words():
+    # Howell elimination wraps in uint16 at most; it is exact only when
+    # 2^k divides 2^16
+    assert MAX_MOD_EXP <= 16

@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from cohlat.cohomology import default_modulus_exp
 from cohlat.errors import BudgetExceeded
-from cohlat.groups import Subgroup, builtin_group, subgroup_classes
-from cohlat.linalg import GF2Matrix
-from cohlat.resolution import (diagonal_approximation, lift_chain_map,
+from cohlat.groups import Subgroup, builtin_group, direct_product, subgroup_classes
+from cohlat.linalg import GF2Matrix, ModKSolver, kernel_basis_modk
+from cohlat.resolution import (_minimal_generators, _span_row_generators,
+                               diagonal_approximation, lift_chain_map,
                                minimal_resolution, restrict_complex,
                                tensor_square_complex, verify_boundary_squares,
                                verify_exactness)
@@ -147,3 +149,33 @@ def test_sz8_low_degrees():
     assert verify_boundary_squares(cx)
     assert verify_exactness(cx, 0)
     assert verify_exactness(cx, 1)
+
+
+def _ref_minimal_generators(cx, degree, kernel_rows):
+    """Greedy selection that refactors the whole span after every pick."""
+    base = ModKSolver(_span_row_generators(cx, degree, kernel_rows), cx.k)
+    selected = []
+    solver = base
+    for w in kernel_rows:
+        if solver.contains(w):
+            continue
+        selected.append(w)
+        solver = ModKSolver(np.vstack([base.hf.matrix] + selected), cx.k)
+    return np.array(selected, dtype=np.int64).reshape(-1, kernel_rows.shape[1])
+
+
+@pytest.mark.parametrize("group", [
+    builtin_group("D8"),
+    direct_product(builtin_group("C2"), builtin_group("D8"), "C2xD8"),
+], ids=["D8", "C2xD8"])
+def test_minimal_generators_match_refactor_per_generator(group):
+    k = default_modulus_exp(group)
+    cx = minimal_resolution(group, k, 3)
+    for deg in range(3):
+        mat = (np.ones((cx.dims[0], 1), dtype=np.int64) if deg == 0
+               else cx.boundaries[deg])
+        kernel = kernel_basis_modk(mat, k)
+        ref = _ref_minimal_generators(cx, deg, kernel)
+        assert np.array_equal(_minimal_generators(cx, deg, kernel), ref)
+        # the resolution was built from the same generators
+        assert np.array_equal(cx.boundaries[deg + 1][cx.gen_coords(deg + 1)], ref)

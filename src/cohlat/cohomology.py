@@ -256,12 +256,15 @@ class SubgroupLink:
                                    modulus_exp=parent.k)
         self.ph2 = restrict_complex(parent.res2, sub)
         q2 = self.hco.res2
+        # the chain maps are mod 2, so they are held as bytes
         u0 = np.zeros((self.ph2.ranks[0], q2.dims[0]), dtype=np.int64)
         u0[:, q2.gen_coords(0)[0]] = 1
-        self.u = lift_chain_map(self.ph2, q2, u0, self.max_degree)
+        self.u = [f.astype(np.uint8) for f in
+                  lift_chain_map(self.ph2, q2, u0, self.max_degree)]
         v0 = np.zeros((q2.ranks[0], self.ph2.dims[0]), dtype=np.int64)
         v0[0, self.ph2.gen_coords(0)[0]] = 1
-        self.v = lift_chain_map(q2, self.ph2, v0, self.max_degree)
+        self.v = [f.astype(np.uint8) for f in
+                  lift_chain_map(q2, self.ph2, v0, self.max_degree)]
         self._left_inv_reps = parent.group.inv[sub.coset_reps()]
 
     def restrict(self, degree: int, vec: np.ndarray) -> np.ndarray:
@@ -280,12 +283,13 @@ class SubgroupLink:
         vec = np.asarray(vec, dtype=np.int64) % 2
         q2 = self.hco.res2
         bexp = vec[q2.coord_gen[degree]]
-        phi = self.u[degree] @ bexp % 2
         n = self.parent.group.order
         rank = self.parent.res2.ranks[degree]
         cols = (np.arange(rank, dtype=np.int64)[:, None] * n
                 + self._left_inv_reps[None, :])
-        return phi[cols].sum(axis=1) % 2
+        # only the cochain b o u at the summed coordinates is needed
+        phi = self.u[degree][cols.ravel()] @ bexp
+        return phi.reshape(cols.shape).sum(axis=1) % 2
 
 # ---------------------------------------------------------------------------
 # Independent cross-check: unnormalized bar cochains

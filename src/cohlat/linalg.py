@@ -144,14 +144,38 @@ def howell_form(a: np.ndarray, k: int, transform: bool = False) -> HowellForm:
 
 
 class ModKSolver:
-    """Factored form of a matrix mod 2^k for repeated solves x @ M = b."""
+    """Factored form of a matrix mod 2^k for repeated solves x @ M = b.
+
+    Above k = 1 the factor is the Howell form with transform. Mod 2 it is
+    the packed reduced echelon form: pivot columns `pivcols`, echelon rows H
+    and transform T with T @ M = H over F2, both held as float32. Every
+    other H row vanishes in a pivot column, so a residue is b + b[piv] @ H
+    and a solution b[piv] @ T: two BLAS products, exact for 0/1 sums below
+    2^24. These are the H and T that howell_form(M, 1, transform=True)
+    returns, since both eliminations take the first row with a nonzero
+    entry as the pivot and clear the column in every other row.
+    """
 
     def __init__(self, mat: np.ndarray, k: int):
         self.k = k
         self.m = 1 << k
-        self.ncols = mat.shape[1]
-        self.nrows = mat.shape[0]
-        self.hf = howell_form(mat, k, transform=True)
+        self.nrows, self.ncols = mat.shape
+        if k == 1:
+            red, pivots, tm = GF2Matrix.from_dense(mat).rref(transform=True)
+            r = len(pivots)
+            self.hf = None
+            self.pivcols = np.array(pivots, dtype=np.int64)
+            self.echelon = red.head(r).to_dense().astype(np.float32)
+            self.transform = tm.head(r).to_dense().astype(np.float32)
+        else:
+            self.hf = howell_form(mat, k, transform=True)
+
+    def _rows(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=np.int64) & (self.m - 1)
+        b = b[None, :] if b.ndim == 1 else b
+        if b.shape[1] != self.ncols:
+            raise IncompatibleOperands("rhs has wrong width")
+        return b
 
     def solve_many(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Solve x @ M = b for each row b of rhs.
@@ -159,12 +183,12 @@ class ModKSolver:
         Returns (X, ok) where ok[i] is False when row i had no solution
         (X[i] is garbage in that case).
         """
+        rhs = self._rows(rhs)
+        if self.hf is None:
+            q = rhs[:, self.pivcols].astype(np.float32)
+            res = rhs ^ _f2_product(q, self.echelon)
+            return _f2_product(q, self.transform), ~res.any(axis=1)
         mask = self.m - 1
-        rhs = np.asarray(rhs, dtype=np.int64) & mask
-        if rhs.ndim == 1:
-            rhs = rhs[None, :]
-        if rhs.shape[1] != self.ncols:
-            raise IncompatibleOperands("rhs has wrong width")
         res = rhs.copy()
         x = np.zeros((rhs.shape[0], self.nrows), dtype=np.int64)
         hmat, tmat = self.hf.matrix, self.hf.transform
@@ -183,7 +207,11 @@ class ModKSolver:
 
     def reduce(self, b: np.ndarray) -> np.ndarray:
         """Canonical residue of b modulo the row span."""
-        return self.hf.reduce(b)
+        if self.hf is not None:
+            return self.hf.reduce(b)
+        rows = self._rows(b)
+        res = gf2_reduce(rows, self.pivcols, self.echelon)
+        return res[0] if np.ndim(b) == 1 else res
 
     def contains(self, b: np.ndarray) -> bool:
         return not self.reduce(b).any()
@@ -260,15 +288,15 @@ class GF2Matrix:
         tm = None
         if transform:
             tm = GF2Matrix(n, n)
-            for i in range(n):
-                tm.words[i, i >> 6] |= np.uint64(1) << np.uint64(i & 63)
+            diag = np.arange(n)
+            tm.words[diag, diag >> 6] = np.uint64(1) << (diag & 63).astype(np.uint64)
             tw = tm.words
         r = 0
         pivots: List[int] = []
         for c in range(self.ncols):
             w, sh = c >> 6, np.uint64(c & 63)
-            col = ((work[r:, w] >> sh) & np.uint64(1)).astype(bool)
-            nz = np.nonzero(col)[0]
+            mask = ((work[:, w] >> sh) & np.uint64(1)).astype(bool)
+            nz = np.flatnonzero(mask[r:])
             if nz.size == 0:
                 continue
             p = r + int(nz[0])
@@ -276,8 +304,9 @@ class GF2Matrix:
                 work[[r, p]] = work[[p, r]]
                 if transform:
                     tw[[r, p]] = tw[[p, r]]
-            mask = ((work[:, w] >> sh) & np.uint64(1)).astype(bool)
-            mask[r] = False
+            # rows r..p-1 had a zero here, so after the swap the rows to
+            # clear are the ones marked, less the pivot row
+            mask[p] = False
             if mask.any():
                 work[mask] ^= work[r]
                 if transform:
@@ -288,6 +317,33 @@ class GF2Matrix:
                 break
         out = GF2Matrix(n, self.ncols, work)
         return out, pivots, tm
+
+    def head(self, r: int) -> "GF2Matrix":
+        """The first r rows."""
+        return GF2Matrix(r, self.ncols, self.words[:r])
+
+    def independent_rows(self) -> List[int]:
+        """Indices of the rows outside the span of the rows before them.
+
+        One in-order elimination: each selected row clears its lowest set
+        bit from every later row, so a later row reduces to zero exactly
+        when it lies in the span of the rows before it.
+        """
+        work = self.words.copy()
+        out: List[int] = []
+        i = 0
+        while True:
+            nz = np.flatnonzero(work[i:].any(axis=1))
+            if nz.size == 0:
+                return out
+            i += int(nz[0])
+            out.append(i)
+            row = work[i]
+            w = int(np.flatnonzero(row)[0])
+            low = int(row[w])
+            hit = i + 1 + np.flatnonzero(work[i + 1:, w] & np.uint64(low & -low))
+            work[hit] ^= row
+            i += 1
 
     def rank(self) -> int:
         _, pivots, _ = self.rref()
@@ -304,7 +360,21 @@ class GF2Matrix:
 def gf2_rref_dense(arr: np.ndarray):
     g = GF2Matrix.from_dense(arr)
     red, pivots, _ = g.rref()
-    return red.to_dense()[: len(pivots)], pivots
+    return red.head(len(pivots)).to_dense(), pivots
+
+
+def _f2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b mod 2 for float32 0/1 factors, as int64; exact below 2^24 terms."""
+    return (a @ b).astype(np.int64) & 1
+
+
+def gf2_reduce(rows: np.ndarray, pivots, echelon: np.ndarray) -> np.ndarray:
+    """Residues of 0/1 integer rows modulo a reduced echelon basis over F2.
+
+    `echelon` holds the basis rows as float32 and `pivots` their pivot
+    columns; every basis row vanishes in the other rows' pivot columns.
+    """
+    return rows ^ _f2_product(rows[:, pivots].astype(np.float32), echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -542,21 +612,29 @@ def int_spans_equal(a, b) -> bool:
     return pa == pb and ha.shape == hb.shape and np.array_equal(ha, hb)
 
 
-def smith_normal_form(a) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def smith_normal_form(a, transforms: bool = True):
     """Smith normal form over Z: returns (D, U, V) with U @ a @ V = D,
-    U and V unimodular, and the nonzero diagonal d1 | d2 | ... positive."""
+    U and V unimodular, and the nonzero diagonal d1 | d2 | ... positive.
+
+    With transforms=False only D is computed and U, V come back as None.
+    Falls back to Python ints before an entry of D, U or V would leave the
+    int64 guard.
+    """
     work = _as_int_matrix(a)
     nrows, ncols = work.shape
-    umat = np.eye(nrows, dtype=np.int64)
-    vmat = np.eye(ncols, dtype=np.int64)
+    # without transforms U and V have no columns (rows), so every update
+    # below is a no-op on them
+    umat = np.eye(nrows, nrows if transforms else 0, dtype=np.int64)
+    vmat = np.eye(ncols if transforms else 0, ncols, dtype=np.int64)
+    if work.dtype == object:
+        umat, vmat = umat.astype(object), vmat.astype(object)
 
-    def ensure_object():
+    def guard(*updates):
+        """Go to Python ints unless each m -= outer(q, vec) stays in int64."""
         nonlocal work, umat, vmat
-        work, umat, vmat = _to_object(work, umat, vmat)
-
-    def guard(q, vec):
-        if work.dtype != object and _needs_object(work, np.atleast_1d(q), vec):
-            ensure_object()
+        if any(m.size and _needs_object(m, np.atleast_1d(q), vec)
+               for m, q, vec in updates):
+            work, umat, vmat = _to_object(work, umat, vmat)
 
     t = 0
     limit = min(nrows, ncols)
@@ -583,7 +661,9 @@ def smith_normal_form(a) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         qc = col // piv
         qr = row // piv
         if np.any(qc) or np.any(qr):
-            guard(np.concatenate([np.atleast_1d(qc), np.atleast_1d(qr)]), work[t])
+            guard((work, np.concatenate([np.atleast_1d(qc), np.atleast_1d(qr)]),
+                   work[t]),
+                  (umat, qc, umat[t]), (vmat, qr, vmat[:, t]))
             if np.any(qc):
                 qc = work[t + 1:, t] // work[t, t]
                 work[t + 1:] -= np.outer(qc, work[t])
@@ -600,7 +680,8 @@ def smith_normal_form(a) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             bad = np.nonzero(rest % piv)
             if bad[0].size:
                 r = int(bad[0][0]) + t + 1
-                guard(np.ones(1, dtype=np.int64), work[r])
+                one = np.ones(1, dtype=np.int64)
+                guard((work, one, work[r]), (umat, one, umat[r]))
                 work[t] += work[r]
                 umat[t] += umat[r]
                 continue
@@ -610,12 +691,14 @@ def smith_normal_form(a) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         if work[i, i] < 0:
             work[i] = -work[i]
             umat[i] = -umat[i]
+    if not transforms:
+        return work, None, None
     return work, umat, vmat
 
 
 def invariant_factors(a, drop_ones: bool = True) -> List[int]:
     """Nonzero Smith invariant factors of an integer matrix."""
-    d, _, _ = smith_normal_form(a)
+    d, _, _ = smith_normal_form(a, transforms=False)
     out = [int(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0]
     if drop_ones:
         out = [x for x in out if x != 1]
@@ -646,7 +729,7 @@ def quotient_invariant_factors(space_rows, sub_rows) -> List[int]:
     if not coeffs:
         return [0] * basis.shape[0]
     cm = np.array(coeffs, dtype=object if basis.dtype == object else np.int64)
-    d, _, _ = smith_normal_form(cm)
+    d, _, _ = smith_normal_form(cm, transforms=False)
     diag = [int(d[i, i]) for i in range(min(d.shape))]
     facs = [x for x in diag if x not in (0, 1)]
     rank = sum(1 for x in diag if x != 0)

@@ -9,6 +9,7 @@ d[i] @ d[i-1], and d[i] @ d[i-1] == 0.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -16,8 +17,8 @@ import numpy as np
 from .errors import (BudgetExceeded, IncompatibleOperands, InternalInvariant,
                      LiftFailed, ValidationError)
 from .groups import FiniteGroup, Subgroup
-from .linalg import (MAX_MOD_EXP, ModKSolver, howell_form, kernel_basis_modk,
-                     modk_spans_equal)
+from .linalg import (MAX_MOD_EXP, GF2Matrix, ModKSolver, gf2_reduce,
+                     gf2_rref_dense, kernel_basis_modk, modk_spans_equal)
 
 MAX_RESOLUTION_DEGREE = 12
 
@@ -145,41 +146,39 @@ class GModuleComplex:
         return out % (1 << (two_exp if two_exp is not None else self.k))
 
 
-def _span_row_generators(cx: GModuleComplex, degree: int,
-                         kernel_rows: np.ndarray) -> np.ndarray:
-    """Rows spanning m*K for K the span of kernel_rows: 2w and (g-1)w."""
-    parts = [(2 * kernel_rows) % cx.mod]
-    for g in cx.group.generators():
-        acted = cx.act(degree, g, kernel_rows)
-        parts.append((acted - kernel_rows) % cx.mod)
-    return np.vstack(parts)
-
-
 def _minimal_generators(cx: GModuleComplex, degree: int,
                         kernel_rows: np.ndarray) -> np.ndarray:
-    """Greedy minimal module generators of the kernel span (Nakayama).
+    """Greedy minimal module generators of the kernel K (Nakayama).
 
-    A row is selected when it lies outside the span of m*K and the rows
-    selected before it. The span is factored once; each selection adds the
-    row's residue (same span as the row) and refactors the echelon rows plus
-    that one. A row and its residue differ by an element of the span, so the
-    later rows are carried as residues and reduced once per selection.
+    A row w is selected when it lies outside mK plus the span of the rows
+    selected before it, m = (2, I) with I the augmentation ideal. The
+    choice is made over F2 in Kbar / I.Kbar, Kbar = K mod 2, which is the
+    same vector space: the resolution is exact, made of free Z/2^k-modules
+    and ends on Z/2^k, so every kernel K is a Z/2^k-direct summand of its
+    free module F. Then K meets 2F in 2K, and reduction mod 2 maps K onto
+    Kbar with kernel 2K, hence K/mK = Kbar/I.Kbar and a row is selected in
+    one exactly when it is selected in the other.
+
+    I.Kbar is the span of the (x-1)wbar, x in G; since
+    (gy-1)w = (g-1)(yw) + (y-1)w and yw lies in Kbar, the (g-1)wbar for the
+    group generators g and the kernel rows w span it. The rows are reduced
+    by its packed echelon form, and the residues that are independent of
+    the residues before them pick the generators.
     """
     if kernel_rows.shape[0] == 0:
         return kernel_rows
-    span = howell_form(_span_row_generators(cx, degree, kernel_rows), cx.k)
-    residues = span.reduce(kernel_rows)
-    selected: List[int] = []
-    for i in range(kernel_rows.shape[0]):
-        if not residues[i].any():
-            continue
-        selected.append(i)
-        span = howell_form(np.vstack([span.matrix, residues[i]]), cx.k)
-        residues[i + 1:] = span.reduce(residues[i + 1:])
-    return kernel_rows[selected]
+    bar = kernel_rows & 1
+    radical = np.vstack([cx.act(degree, g, bar) ^ bar
+                         for g in cx.group.generators()])
+    echelon, pivots = gf2_rref_dense(radical)
+    residues = gf2_reduce(bar, pivots, echelon.astype(np.float32))
+    return kernel_rows[GF2Matrix.from_dense(residues).independent_rows()]
 
 
-_RES_CACHE: Dict[Tuple[FiniteGroup, int], GModuleComplex] = {}
+# resolutions kept, least recently used evicted first; one sz8-sylow
+# criterion run uses 43
+RES_CACHE_SIZE = 64
+_RES_CACHE: "OrderedDict[Tuple[FiniteGroup, int], GModuleComplex]" = OrderedDict()
 _RES_LOCK = threading.Lock()
 
 
@@ -187,18 +186,23 @@ def minimal_resolution(group: FiniteGroup, modulus_exp: int,
                        max_degree: int) -> GModuleComplex:
     """Minimal free resolution of the trivial module out to max_degree.
 
-    Results are cached per (group, modulus) and extended in place when a
-    deeper resolution is requested later.
+    Results are cached per (group, modulus), RES_CACHE_SIZE at most, and
+    extended in place when a deeper resolution is requested later.
     """
     if max_degree > MAX_RESOLUTION_DEGREE:
         raise BudgetExceeded(
             f"resolution degree {max_degree} > {MAX_RESOLUTION_DEGREE}")
+    key = (group, modulus_exp)
     with _RES_LOCK:
-        cx = _RES_CACHE.get((group, modulus_exp))
+        cx = _RES_CACHE.get(key)
         if cx is None:
             cx = GModuleComplex(group, modulus_exp)
             cx.add_standard_degree(1, None)
-            _RES_CACHE[(group, modulus_exp)] = cx
+            _RES_CACHE[key] = cx
+            while len(_RES_CACHE) > RES_CACHE_SIZE:
+                _RES_CACHE.popitem(last=False)
+        else:
+            _RES_CACHE.move_to_end(key)
         _extend_resolution(cx, max_degree)
     return cx
 
@@ -220,16 +224,16 @@ def _extend_resolution(cx: GModuleComplex, max_degree: int):
             continue
         if cx.block_augment(deg, gens, two_exp=1).any():
             raise InternalInvariant("selected generators are not minimal")
+        # d_deg is equivariant, so the new boundary composes to zero exactly
+        # when its generator rows do
+        if deg >= 1 and (gens @ cx.boundaries[deg] % cx.mod).any():
+            raise InternalInvariant("boundary composition is nonzero")
         rank = gens.shape[0]
         coord_gen = np.repeat(np.arange(rank, dtype=np.int64), n)
         coord_elt = np.tile(np.arange(n, dtype=np.int64), rank)
         tmp = GModuleComplex(cx.group, cx.k)
         tmp.add_degree(coord_gen.copy(), coord_elt.copy(), None)
         boundary = tmp.extend_rows(0, gens, cx, deg)
-        if deg >= 1:
-            comp = boundary @ cx.boundaries[deg] % cx.mod
-            if comp.any():
-                raise InternalInvariant("boundary composition is nonzero")
         cx.add_standard_degree(rank, boundary)
 
 

@@ -313,3 +313,26 @@ def test_cochain_lift_is_a_chain_map(gc_cache):
     lhs = res2.boundaries[3] @ lifts[0] % 2
     rhs = lifts[1] @ res2.boundaries[1] % 2
     assert np.array_equal(lhs, rhs)
+
+
+def test_subgroup_link_chain_maps_are_bytes(gc_cache):
+    # the comparison maps are mod 2 and held as uint8; transfer reads only
+    # the summed coordinates, and must agree with the full int64 product
+    from cohlat.resolution import lift_chain_map
+    gc = gc_cache("D4")
+    sub = next(s for s in subgroup_classes(gc.group) if s.order == 4)
+    link = SubgroupLink(gc, sub)
+    q2 = link.hco.res2
+    u0 = np.zeros((link.ph2.ranks[0], q2.dims[0]), dtype=np.int64)
+    u0[:, q2.gen_coords(0)[0]] = 1
+    full_u = lift_chain_map(link.ph2, q2, u0, link.max_degree)
+    assert all(f.dtype == np.uint8 for f in link.u + link.v)
+    assert all(np.array_equal(a, b) for a, b in zip(link.u, full_u))
+    n = gc.group.order
+    for deg in range(link.max_degree + 1):
+        for vec in _basis(link.hco.h_dim(deg)):
+            phi = full_u[deg] @ vec[q2.coord_gen[deg]] % 2
+            cols = (np.arange(gc.h_dim(deg))[:, None] * n
+                    + link._left_inv_reps[None, :])
+            assert np.array_equal(link.transfer(deg, vec),
+                                  phi[cols].sum(axis=1) % 2)

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohlat.linalg import (
     MAX_MOD_EXP,
@@ -442,3 +444,98 @@ def test_modulus_budget_fits_the_narrow_words():
     # Howell elimination wraps in uint16 at most; it is exact only when
     # 2^k divides 2^16
     assert MAX_MOD_EXP <= 16
+
+
+# ---------------------------------------------------------------------------
+# Packed mod-2 solver against the Howell form at k = 1
+# ---------------------------------------------------------------------------
+
+
+def _check_f2_solver_matches_howell(a, rhs):
+    hf = howell_form(a, 1, transform=True)
+    s = ModKSolver(a, 1)
+    assert s.hf is None
+    assert s.echelon.dtype == s.transform.dtype == np.float32
+    assert [int(c) for c in s.pivcols] == [c for c, _ in hf.pivots]
+    assert np.array_equal(s.echelon, hf.matrix)
+    assert np.array_equal(s.transform, hf.transform)
+    x, ok = s.solve_many(rhs)
+    ref_x, ref_ok = _ref_solve_many(a, 1, rhs)
+    assert x.dtype == np.int64
+    assert np.array_equal(ok, ref_ok) and np.array_equal(x, ref_x)
+    assert np.array_equal(s.reduce(rhs), hf.reduce(rhs))
+    assert np.array_equal(s.reduce(rhs[0]), hf.reduce(rhs[0]))
+    assert s.contains(rhs[0]) == bool(ref_ok[0])
+
+
+def test_f2_solver_matches_howell_on_random_matrices():
+    rng = np.random.default_rng(2024)
+    for a in itertools.chain(_random_modk_matrices(1, rng),
+                             [np.zeros((3, 4), dtype=np.int64),
+                              rng.integers(0, 2, size=(70, 130))]):
+        rhs = np.vstack([rng.integers(0, 2, size=(4, a.shape[0])) @ a,
+                         rng.integers(-3, 3, size=(4, a.shape[1]))])
+        _check_f2_solver_matches_howell(a, rhs)
+
+
+def test_f2_solver_matches_howell_on_sz8_boundaries():
+    from cohlat.groups import builtin_group
+    from cohlat.resolution import minimal_resolution
+    cx = minimal_resolution(builtin_group("sz8-sylow"), 1, 3)
+    rng = np.random.default_rng(8)
+    for i in range(1, 4):
+        d = cx.boundaries[i]
+        rhs = np.vstack([rng.integers(0, 2, size=(5, d.shape[0])) @ d,
+                         rng.integers(0, 2, size=(5, d.shape[1]))])
+        _check_f2_solver_matches_howell(d, rhs)
+
+
+# ---------------------------------------------------------------------------
+# Smith transforms in exact integers
+# ---------------------------------------------------------------------------
+
+
+def _int_det(rows):
+    """Determinant of a square matrix of Python ints (Bareiss)."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for i in range(n):
+        p = next((r for r in range(i, n) if m[r][i] != 0), None)
+        if p is None:
+            return 0
+        if p != i:
+            m[i], m[p] = m[p], m[i]
+            sign = -sign
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def _int_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda nr: st.integers(1, 11).flatmap(
+    lambda nc: st.lists(st.lists(st.integers(-10, 10), min_size=nc, max_size=nc),
+                        min_size=nr, max_size=nr))))
+def test_smith_transforms_are_exact_and_unimodular(rows):
+    a = np.array(rows, dtype=np.int64)
+    d, u, v = smith_normal_form(a)
+    ints = [[[int(x) for x in r] for r in m] for m in (d, u, v)]
+    dd, uu, vv = ints
+    assert _int_matmul(_int_matmul(uu, rows), vv) == dd
+    assert abs(_int_det(uu)) == 1 and abs(_int_det(vv)) == 1
+    diag = [dd[i][i] for i in range(min(a.shape))]
+    assert all(dd[i][j] == 0 for i in range(a.shape[0])
+               for j in range(a.shape[1]) if i != j)
+    assert diag == [int(x) for x in smith_normal_form(a, transforms=False)[0].diagonal()]
+    # Python-int input takes the same steps
+    d_obj, u_obj, v_obj = smith_normal_form(a.astype(object))
+    assert [[[int(x) for x in r] for r in m] for m in (d_obj, u_obj, v_obj)] == ints
+    nonzero = [x for x in diag if x]
+    assert all(x > 0 for x in nonzero) and diag[:len(nonzero)] == nonzero
+    assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))

@@ -2,15 +2,18 @@
 import numpy as np
 import pytest
 
+from collections import OrderedDict
+
+from cohlat import resolution
 from cohlat.cohomology import default_modulus_exp
-from cohlat.errors import BudgetExceeded
+from cohlat.errors import BudgetExceeded, InternalInvariant
 from cohlat.groups import Subgroup, builtin_group, direct_product, subgroup_classes
-from cohlat.linalg import GF2Matrix, ModKSolver, kernel_basis_modk
-from cohlat.resolution import (_minimal_generators, _span_row_generators,
-                               diagonal_approximation, lift_chain_map,
-                               minimal_resolution, restrict_complex,
-                               tensor_square_complex, verify_boundary_squares,
-                               verify_exactness)
+from cohlat.linalg import GF2Matrix, howell_form, kernel_basis_modk
+from cohlat.resolution import (GModuleComplex, _extend_resolution,
+                               _minimal_generators, diagonal_approximation,
+                               lift_chain_map, minimal_resolution,
+                               restrict_complex, tensor_square_complex,
+                               verify_boundary_squares, verify_exactness)
 
 # mod-2 cohomology dimensions from the standard ring presentations:
 # C2, C4, C8 are 1 in every degree; V4 and D4 grow linearly; Q8 is periodic.
@@ -151,17 +154,38 @@ def test_sz8_low_degrees():
     assert verify_exactness(cx, 1)
 
 
+def _span_row_generators(cx, degree, kernel_rows):
+    """Rows spanning m*K over Z/2^k for K the span of kernel_rows: 2w, (g-1)w."""
+    parts = [(2 * kernel_rows) % cx.mod]
+    for g in cx.group.generators():
+        acted = cx.act(degree, g, kernel_rows)
+        parts.append((acted - kernel_rows) % cx.mod)
+    return np.vstack(parts)
+
+
 def _ref_minimal_generators(cx, degree, kernel_rows):
-    """Greedy selection that refactors the whole span after every pick."""
-    base = ModKSolver(_span_row_generators(cx, degree, kernel_rows), cx.k)
+    """Greedy selection in K/mK over Z/2^k that refactors the whole span
+    after every pick."""
+    base = howell_form(_span_row_generators(cx, degree, kernel_rows), cx.k)
     selected = []
-    solver = base
+    span = base
     for w in kernel_rows:
-        if solver.contains(w):
+        if not span.reduce(w).any():
             continue
         selected.append(w)
-        solver = ModKSolver(np.vstack([base.hf.matrix] + selected), cx.k)
+        span = howell_form(np.vstack([base.matrix] + selected), cx.k)
     return np.array(selected, dtype=np.int64).reshape(-1, kernel_rows.shape[1])
+
+
+def _check_minimal_generators(cx, degrees):
+    for deg in degrees:
+        mat = (np.ones((cx.dims[0], 1), dtype=np.int64) if deg == 0
+               else cx.boundaries[deg])
+        kernel = kernel_basis_modk(mat, cx.k)
+        ref = _ref_minimal_generators(cx, deg, kernel)
+        assert np.array_equal(_minimal_generators(cx, deg, kernel), ref)
+        # the resolution was built from the same generators
+        assert np.array_equal(cx.boundaries[deg + 1][cx.gen_coords(deg + 1)], ref)
 
 
 @pytest.mark.parametrize("group", [
@@ -170,12 +194,58 @@ def _ref_minimal_generators(cx, degree, kernel_rows):
 ], ids=["D8", "C2xD8"])
 def test_minimal_generators_match_refactor_per_generator(group):
     k = default_modulus_exp(group)
-    cx = minimal_resolution(group, k, 3)
-    for deg in range(3):
-        mat = (np.ones((cx.dims[0], 1), dtype=np.int64) if deg == 0
-               else cx.boundaries[deg])
-        kernel = kernel_basis_modk(mat, k)
-        ref = _ref_minimal_generators(cx, deg, kernel)
-        assert np.array_equal(_minimal_generators(cx, deg, kernel), ref)
-        # the resolution was built from the same generators
-        assert np.array_equal(cx.boundaries[deg + 1][cx.gen_coords(deg + 1)], ref)
+    _check_minimal_generators(minimal_resolution(group, k, 3), range(3))
+
+
+@pytest.mark.parametrize("name,k", [
+    ("D8", 1), ("D8", 3), ("C2xD8", 1), ("C2xD8", 3),
+    ("sz8-sylow", 1), ("sz8-sylow", 3), ("sz8-sylow", None),
+])
+def test_minimal_generators_over_f2_match_selection_mod_2k(name, k):
+    # selection in Kbar/I.Kbar over F2 against selection in K/mK over Z/2^k,
+    # through boundary 3
+    if name == "C2xD8":
+        group = direct_product(builtin_group("C2"), builtin_group("D8"), name)
+    else:
+        group = builtin_group(name)
+    k = default_modulus_exp(group) if k is None else k
+    _check_minimal_generators(minimal_resolution(group, k, 3), range(3))
+
+
+def test_corrupted_generator_row_fails_the_boundary_check(monkeypatch):
+    # adding (g-1)e_0 keeps the augmentation zero mod 2, so only the
+    # composition check on the generator rows can catch it
+    cx = GModuleComplex(builtin_group("D4"), 2)
+    cx.add_standard_degree(1, None)
+    _extend_resolution(cx, 1)
+    honest = resolution._minimal_generators
+
+    def corrupt(cx_, degree, kernel_rows):
+        gens = honest(cx_, degree, kernel_rows).copy()
+        e0 = np.zeros(cx_.dims[degree], dtype=np.int64)
+        e0[0] = 1
+        gens[0] = (gens[0] + cx_.act(degree, 1, e0) - e0) % cx_.mod
+        return gens
+
+    monkeypatch.setattr(resolution, "_minimal_generators", corrupt)
+    with pytest.raises(InternalInvariant, match="composition"):
+        _extend_resolution(cx, 2)
+
+
+def test_resolution_cache_evicts_least_recently_used(monkeypatch):
+    assert resolution.RES_CACHE_SIZE >= 64  # one sz8-sylow criterion run holds 43
+    monkeypatch.setattr(resolution, "_RES_CACHE", OrderedDict())
+    monkeypatch.setattr(resolution, "RES_CACHE_SIZE", 2)
+    c2, c4, v4 = (builtin_group(n) for n in ("C2", "C4", "V4"))
+    first = minimal_resolution(v4, 2, 3)
+    minimal_resolution(c4, 2, 3)
+    assert minimal_resolution(v4, 2, 3) is first  # a hit refreshes V4
+    minimal_resolution(c2, 2, 3)                   # evicts C4
+    assert list(resolution._RES_CACHE) == [(v4, 2), (c2, 2)]
+    minimal_resolution(c4, 2, 3)                   # evicts V4
+    assert (v4, 2) not in resolution._RES_CACHE
+    rebuilt = minimal_resolution(v4, 2, 3)
+    assert rebuilt is not first
+    assert rebuilt.ranks == first.ranks
+    for a, b in zip(rebuilt.boundaries[1:], first.boundaries[1:]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

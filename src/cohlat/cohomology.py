@@ -18,8 +18,8 @@ from .groups import FiniteGroup, Subgroup
 from .linalg import (Subspace, kernel_basis_modk,
                      modk_quotient_invariant_factors)
 from .resolution import (GModuleComplex, diagonal_approximation,
-                         lift_chain_map, minimal_resolution, reduce_complex,
-                         restrict_complex)
+                         extend_resolution, lift_chain_map,
+                         minimal_resolution, reduce_complex, restrict_complex)
 
 
 def default_modulus_exp(group: FiniteGroup) -> int:
@@ -95,8 +95,8 @@ class GroupCohomology:
         else:
             if degree == self.max_degree:
                 # above modulus 2 the outgoing differential matters, so the
-                # shared resolution is deepened one step to expose it
-                minimal_resolution(self.group, self.k, degree + 1)
+                # resolution is deepened one step to expose it
+                extend_resolution(self.res, degree + 1)
             ker = kernel_basis_modk(self._delta_matrix(degree, m_exp), m_exp)
         if degree == 0:
             im = np.zeros((0, self.res.ranks[0]), dtype=np.int64)

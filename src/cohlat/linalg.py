@@ -322,29 +322,6 @@ class GF2Matrix:
         """The first r rows."""
         return GF2Matrix(r, self.ncols, self.words[:r])
 
-    def independent_rows(self) -> List[int]:
-        """Indices of the rows outside the span of the rows before them.
-
-        One in-order elimination: each selected row clears its lowest set
-        bit from every later row, so a later row reduces to zero exactly
-        when it lies in the span of the rows before it.
-        """
-        work = self.words.copy()
-        out: List[int] = []
-        i = 0
-        while True:
-            nz = np.flatnonzero(work[i:].any(axis=1))
-            if nz.size == 0:
-                return out
-            i += int(nz[0])
-            out.append(i)
-            row = work[i]
-            w = int(np.flatnonzero(row)[0])
-            low = int(row[w])
-            hit = i + 1 + np.flatnonzero(work[i + 1:, w] & np.uint64(low & -low))
-            work[hit] ^= row
-            i += 1
-
     def rank(self) -> int:
         _, pivots, _ = self.rref()
         return len(pivots)

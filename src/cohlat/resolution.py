@@ -162,8 +162,9 @@ def _minimal_generators(cx: GModuleComplex, degree: int,
     I.Kbar is the span of the (x-1)wbar, x in G; since
     (gy-1)w = (g-1)(yw) + (y-1)w and yw lies in Kbar, the (g-1)wbar for the
     group generators g and the kernel rows w span it. The rows are reduced
-    by its packed echelon form, and the residues that are independent of
-    the residues before them pick the generators.
+    by its packed echelon form; the residues independent of the residues
+    before them pick the generators, and they are the pivot columns of the
+    echelon form of the residues transposed.
     """
     if kernel_rows.shape[0] == 0:
         return kernel_rows
@@ -172,7 +173,7 @@ def _minimal_generators(cx: GModuleComplex, degree: int,
                          for g in cx.group.generators()])
     echelon, pivots = gf2_rref_dense(radical)
     residues = gf2_reduce(bar, pivots, echelon.astype(np.float32))
-    return kernel_rows[GF2Matrix.from_dense(residues).independent_rows()]
+    return kernel_rows[GF2Matrix.from_dense(residues.T).rref()[1]]
 
 
 # resolutions kept, least recently used evicted first; one sz8-sylow
@@ -205,6 +206,20 @@ def minimal_resolution(group: FiniteGroup, modulus_exp: int,
             _RES_CACHE.move_to_end(key)
         _extend_resolution(cx, max_degree)
     return cx
+
+
+def extend_resolution(cx: GModuleComplex, max_degree: int):
+    """Deepen a complex from minimal_resolution in place to max_degree.
+
+    Holders of a complex deepen it through this call, not by asking
+    minimal_resolution again: the cache may have evicted their complex and
+    would then hand back a new one.
+    """
+    if max_degree > MAX_RESOLUTION_DEGREE:
+        raise BudgetExceeded(
+            f"resolution degree {max_degree} > {MAX_RESOLUTION_DEGREE}")
+    with _RES_LOCK:
+        _extend_resolution(cx, max_degree)
 
 
 def _extend_resolution(cx: GModuleComplex, max_degree: int):

@@ -1,9 +1,11 @@
 """Cohomology layer: invariants vs bar complex, products, Bocksteins, transfer."""
 import random
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from cohlat import resolution
 from cohlat.cohomology import (GroupCohomology, SubgroupLink,
                                bar_cohomology_invariants, default_modulus_exp)
 from cohlat.errors import DegreeOutOfRange, ModulusTooSmall, NotA2Group
@@ -336,3 +338,15 @@ def test_subgroup_link_chain_maps_are_bytes(gc_cache):
                     + link._left_inv_reps[None, :])
             assert np.array_equal(link.transfer(deg, vec),
                                   phi[cols].sum(axis=1) % 2)
+
+
+def test_invariants_deepen_an_evicted_resolution(monkeypatch):
+    monkeypatch.setattr(resolution, "_RES_CACHE", OrderedDict())
+    monkeypatch.setattr(resolution, "RES_CACHE_SIZE", 1)
+    gc = GroupCohomology(builtin_group("D8"), 2)
+    resolution.minimal_resolution(builtin_group("C2"), 2, 2)  # evicts D8
+    assert (gc.group, gc.k) not in resolution._RES_CACHE
+    # at the top degree above mod 2 the resolution must grow one step
+    got = gc.cohomology_invariants(2, 2)
+    assert gc.res.top_degree == 3
+    assert got == GroupCohomology(builtin_group("D8"), 3).cohomology_invariants(2, 2)

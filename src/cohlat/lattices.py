@@ -138,7 +138,8 @@ class GLattice:
             out = np.eye(self.rank, dtype=np.int64)
         else:
             a, i = self._parent[g]
-            out = self.matrix(a) @ self._gen_mats[i]
+            out = (self._gen_mats[i].copy() if a == 0
+                   else self.matrix(a) @ self._gen_mats[i])
         self._mat_cache[g] = out
         return out
 
@@ -232,22 +233,7 @@ class GLattice:
         lat.character = np.array(vals, dtype=np.int64)
         return lat
 
-    @classmethod
-    def from_permutations(cls, group: FiniteGroup, perms, labels=None,
-                          name: str = "") -> "GLattice":
-        acts = [(np.asarray(p, dtype=np.int64),
-                 np.ones(len(p), dtype=np.int64)) for p in perms]
-        return cls(group, acts, permutation=True, labels=labels, name=name)
-
-    @classmethod
-    def from_generator_matrices(cls, group: FiniteGroup, mats,
-                                name: str = "") -> "GLattice":
-        return cls(group, [np.asarray(m) for m in mats], name=name)
-
     # -- derived data -------------------------------------------------------
-
-    def generator_matrices(self) -> List[np.ndarray]:
-        return [self.matrix(g) for g in self.group.generators()]
 
     def fixed_rows(self, elements: Optional[Sequence[int]] = None) -> np.ndarray:
         """Integer basis (rows) of the sublattice fixed by the given elements."""
@@ -721,20 +707,39 @@ def h1_integral(group_like, lat: GLattice) -> List[int]:
     return facs
 
 
-def integral_cocycles(group: FiniteGroup, mats: List[np.ndarray]):
-    """Integer basis of crossed homomorphisms, generator-parametrized.
+def _schreier_walk(group: FiniteGroup, mats: List[np.ndarray],
+                   modulus: Optional[int] = None):
+    """Cocycle values and closing conditions along a BFS of the Cayley graph.
 
-    Returns (rows, expand): each row holds a cocycle's values on the group
-    generators (concatenated), and expand(row) tabulates the values on every
-    element. Cocycle rule: z(gh) = z(g) + g z(h).
+    A cocycle z (rule z(gh) = z(g) + g z(h)) is fixed by its values on the
+    d group generators, concatenated into one vector x of d*m unknowns.
+    Returns (coeff, system): z(g) = coeff[g] @ x for every element g, and
+    the cocycle conditions are x @ system = 0, one column block per edge
+    outside the BFS tree (a Schreier generator of the relation group).
+
+    With a 2-power modulus every block is reduced into [0, modulus) after
+    each step and the products run in float64 BLAS, which is exact while
+    modulus**2 * m stays below 2**53; without one the walk runs on int64.
     """
     gens = group.generators()
     d = len(gens)
-    m = mats[0].shape[0] if mats else 0
-    if d == 0 or m == 0:
-        def expand_empty(row):
-            return np.zeros((group.order, m), dtype=np.int64)
-        return np.zeros((0, d * m), dtype=np.int64), expand_empty
+    m = mats[0].shape[0]
+    mats = [np.asarray(mt, dtype=np.int64) for mt in mats]
+    if modulus is None:
+        def red(x):
+            return x
+
+        def times(a, i):
+            return a @ mats[i]
+    else:
+        mask = modulus - 1
+        fmats = [(mt & mask).astype(np.float64) for mt in mats]
+
+        def red(x):
+            return x & mask
+
+        def times(a, i):
+            return (a.astype(np.float64) @ fmats[i]).astype(np.int64) & mask
     t = group.table
     emat: Dict[int, np.ndarray] = {0: np.eye(m, dtype=np.int64)}
     coeff: Dict[int, np.ndarray] = {0: np.zeros((m, d * m), dtype=np.int64)}
@@ -747,18 +752,33 @@ def integral_cocycles(group: FiniteGroup, mats: List[np.ndarray]):
                 b = int(t[a, s])
                 expr = coeff[a].copy()
                 expr[:, i * m:(i + 1) * m] += emat[a]
+                expr = red(expr)
                 if b in coeff:
-                    closing.append(coeff[b] - expr)
+                    closing.append(red(coeff[b] - expr))
                 else:
                     coeff[b] = expr
-                    emat[b] = emat[a] @ mats[i]
+                    emat[b] = times(emat[a], i)
                     nxt.append(b)
         frontier = nxt
-    if closing:
-        system = np.hstack([c.T for c in closing])
-        rows = int_left_kernel(system)
-    else:
-        rows = np.eye(d * m, dtype=np.int64)
+    # |G| * d edges against |G| - 1 tree edges: closing is never empty
+    return coeff, np.hstack([c.T for c in closing])
+
+
+def integral_cocycles(group: FiniteGroup, mats: List[np.ndarray]):
+    """Integer basis of crossed homomorphisms, generator-parametrized.
+
+    Returns (rows, expand): each row holds a cocycle's values on the group
+    generators (concatenated), and expand(row) tabulates the values on every
+    element. Cocycle rule: z(gh) = z(g) + g z(h).
+    """
+    d = len(group.generators())
+    m = mats[0].shape[0] if mats else 0
+    if d == 0 or m == 0:
+        def expand_empty(row):
+            return np.zeros((group.order, m), dtype=np.int64)
+        return np.zeros((0, d * m), dtype=np.int64), expand_empty
+    coeff, system = _schreier_walk(group, mats)
+    rows = int_left_kernel(system)
 
     def expand(row):
         out = np.zeros((group.order, m), dtype=np.int64)
@@ -766,6 +786,35 @@ def integral_cocycles(group: FiniteGroup, mats: List[np.ndarray]):
             out[g] = expr @ row
         return out
     return rows, expand
+
+
+def cocycles_mod2(group: FiniteGroup, mats: List[np.ndarray]):
+    """Integral crossed homomorphisms read mod 2, from a kernel mod 2^N.
+
+    Returns (rows, coeff): 0/1 rows spanning the reductions mod 2 of the
+    integral cocycles (generator-parametrized as in integral_cocycles), and
+    the coefficient blocks of _schreier_walk, reduced mod 2^N, giving each
+    cocycle's value on every element. N = v2(|G|) + 1.
+
+    Why this is exact. The relation sequence 0 -> R^ab -> Z[G]^d -> I_G -> 0
+    turns the cocycle system S : L^d -> Hom_Z(R^ab, L) = L^c into a map
+    whose image lies in the saturated sublattice Hom_G(R^ab, L), with
+    Hom_G(R^ab, L) / im S = Ext^1_G(I_G, L) = H^2(G, L). So the torsion of
+    coker S is H^2(G, L), which |G| annihilates: every nonzero elementary
+    divisor of S has 2-adic valuation at most N - 1. In Smith coordinates
+    y = x U^-1, x S = 0 mod 2^N forces y_i = 0 mod 2 wherever d_i != 0,
+    while an integral kernel vector needs y_i = 0 there. Hence every x with
+    x S = 0 mod 2^N is congruent mod 2 to an integral kernel vector, and the
+    two spans mod 2 agree. At N = 1 they need not: for C2 acting trivially
+    on Z, S = (-2), the integral kernel is 0 and the one mod 2 is not.
+    """
+    d = len(group.generators())
+    m = mats[0].shape[0] if mats else 0
+    if d == 0 or m == 0:
+        return np.zeros((0, d * m), dtype=np.int64), {}
+    n = (group.order & -group.order).bit_length()
+    coeff, system = _schreier_walk(group, mats, modulus=1 << n)
+    return kernel_basis_modk(system, n) & 1, coeff
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +829,8 @@ def alpha_image(lat: GLattice) -> List[int]:
     At cocycle level: lift a wedge-valued cocycle into the divided square
     with zero diagonal part, apply the differential, and read the diagonal
     spill. The spill of an integral cocycle mod 2 is linear in the cocycle
-    mod 2, so value tables propagate over two-element arithmetic.
+    mod 2, so only the integral cocycles mod 2 are needed; cocycles_mod2
+    reads them off a kernel mod 2^N and says why that is exact.
     """
     if lat.mod2_mask is not None:
         raise IncompatibleOperands("connecting image needs a free lattice")
@@ -801,40 +851,21 @@ def alpha_image(lat: GLattice) -> List[int]:
             f"cocycle system on the wedge square needs {m * len(gens)} "
             "unknowns, over the 4000 budget")
     lam_mats = [lam.matrix(s) for s in gens]
-    zrows, _ = integral_cocycles(group, lam_mats)
-    if zrows.shape[0] == 0:
-        return []
-    zmod = Subspace.span(zrows % 2, m * len(gens))
+    zrows, coeff = cocycles_mod2(group, lam_mats)
+    zmod = Subspace.span(zrows, m * len(gens))
     if zmod.dim == 0:
         return []
-    zbasis = np.array(zmod.basis_rows(), dtype=np.int64)
+    zbasis = zmod.basis.astype(np.float32)
     nb = zbasis.shape[0]
-    # mod-2 value tables for every element, propagated along a BFS tree;
-    # float32 matmuls are exact here (0/1 entries, sums below 2**24)
-    gvals = [zbasis[:, i * m:(i + 1) * m].astype(np.float32)
-             for i in range(len(gens))]
-    smat2 = [(mt % 2).astype(np.float32) for mt in lam_mats]
-    amod2 = {0: np.eye(m, dtype=np.float32)}
-    vals = {0: np.zeros((nb, m), dtype=np.float32)}
-    t = group.table
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for i, s in enumerate(gens):
-                b = int(t[a, s])
-                if b in vals:
-                    continue
-                vals[b] = (vals[a] + gvals[i] @ amod2[a].T) % 2
-                amod2[b] = (amod2[a] @ smat2[i]) % 2
-                nxt.append(b)
-        frontier = nxt
-    # assemble the spills: the row block at pair (g, h) is D_g z(h)
+    # assemble the spills: the row block at pair (g, h) is D_g z(h), with
+    # z(h) = coeff[h] @ x read mod 2; float32 products are exact here
+    # (0/1 entries, sums below 2**24)
     dall = np.concatenate([_diag_block(lat.matrix(g)).T.astype(np.float32)
                            for g in range(n)], axis=1)
     alpha = np.zeros((nb, n * n * ml), dtype=np.uint8)
     for h in range(n):
-        block = ((vals[h] @ dall) % 2).astype(np.uint8)
+        vals = (zbasis @ (coeff[h] & 1).T.astype(np.float32)) % 2
+        block = ((vals @ dall) % 2).astype(np.uint8)
         br = block.reshape(nb, n, ml)
         for g in range(n):
             alpha[:, (g * n + h) * ml:(g * n + h + 1) * ml] = br[:, g]

@@ -468,18 +468,63 @@ def _to_object(*arrs):
     return out
 
 
+def _abs_max(m: np.ndarray) -> int:
+    """Largest absolute entry, as a Python int (0 when empty)."""
+    if m.size == 0:
+        return 0
+    return max(int(m.max()), -int(m.min()))
+
+
+def _row_maxima(m: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of each row of an int64 matrix, as int64."""
+    return np.abs(m).max(axis=1, initial=0)
+
+
 def row_hnf(a, transform: bool = False):
     """Row Hermite normal form. Returns (H, pivot_cols, T) with T @ a = H.
 
     Pivots are positive, entries above each pivot are reduced into [0, pivot),
-    rows below the rank are zero and dropped. Falls back to Python ints when
-    int64 entries would overflow.
+    rows below the rank are zero and dropped. Falls back to Python ints
+    before an entry of H or T would leave the int64 guard; the check reads
+    per-row maxima, refreshed only on the rows a step changes.
     """
     work = _as_int_matrix(a)
     nrows, ncols = work.shape
     tmat = None
     if transform:
-        tmat = np.eye(nrows, dtype=np.int64)
+        tmat = np.eye(nrows, dtype=work.dtype if work.dtype == object
+                      else np.int64)
+    # per-row maxima of |work| and |T| while both are int64, else None
+    wmax = _row_maxima(work) if work.dtype != object else None
+    tmax = np.ones(nrows, dtype=np.int64) if tmat is not None else None
+
+    def subtract(rows: np.ndarray, q: np.ndarray, src: int):
+        """work[rows] -= outer(q, work[src]), and the same on T."""
+        nonlocal work, tmat, wmax, tmax
+        if wmax is not None:
+            qa = int(np.abs(q).max())
+            over = qa * int(wmax[src]) + int(wmax[rows].max()) >= _INT64_GUARD
+            if tmax is not None:
+                over = over or (qa * int(tmax[src]) + int(tmax[rows].max())
+                                >= _INT64_GUARD)
+            if over:
+                work, tmat = _to_object(work, tmat)
+                wmax = tmax = None
+        if wmax is None:
+            q = q.astype(object)
+        work[rows] -= np.outer(q, work[src])
+        if tmat is not None:
+            tmat[rows] -= np.outer(q, tmat[src])
+        if wmax is not None:
+            wmax[rows] = _row_maxima(work[rows])
+            if tmax is not None:
+                tmax[rows] = _row_maxima(tmat[rows])
+
+    def swap(i: int, j: int):
+        for m in (work, tmat, wmax, tmax):
+            if m is not None:
+                m[[i, j]] = m[[j, i]]
+
     done = 0
     pivcols: List[int] = []
     for col in range(ncols):
@@ -492,37 +537,27 @@ def row_hnf(a, transform: bool = False):
                 break
             pick = done + int(nz[np.argmin(np.abs(colvals[nz]))])
             if pick != done:
-                work[[done, pick]] = work[[pick, done]]
-                if tmat is not None:
-                    tmat[[done, pick]] = tmat[[pick, done]]
+                swap(done, pick)
             if work[done, col] < 0:
                 work[done] = -work[done]
                 if tmat is not None:
                     tmat[done] = -tmat[done]
             piv = work[done, col]
             q = work[done + 1:, col] // piv
-            if not np.any(q):
+            hit = np.nonzero(q)[0]
+            if hit.size == 0:
                 if not np.any(work[done + 1:, col]):
                     break
                 # remainders smaller than pivot exist; loop picks a smaller pivot
                 continue
-            if _needs_object(work, q, work[done]):
-                work, tmat = _to_object(work, tmat)
-                q = q.astype(object)
-            work[done + 1:] -= np.outer(q, work[done])
-            if tmat is not None:
-                tmat[done + 1:] -= np.outer(q, tmat[done])
+            subtract(done + 1 + hit, q[hit], done)
         if work[done, col]:
             piv = work[done, col]
             if done > 0:
                 q = work[:done, col] // piv
-                if np.any(q):
-                    if _needs_object(work, q, work[done]):
-                        work, tmat = _to_object(work, tmat)
-                        q = q.astype(object)
-                    work[:done] -= np.outer(q, work[done])
-                    if tmat is not None:
-                        tmat[:done] -= np.outer(q, tmat[done])
+                hit = np.nonzero(q)[0]
+                if hit.size:
+                    subtract(hit, q[hit], done)
             pivcols.append(col)
             done += 1
     hnf = work[:done]
@@ -556,11 +591,16 @@ class IntSolver:
         self.ncols = self.mat.shape[1]
         self.nrows = self.mat.shape[0]
         self.hnf, self.pivcols, self.tmat = row_hnf(self.mat, transform=True)
+        self._matmax = _abs_max(self.mat)
 
     def solve(self, b) -> Optional[np.ndarray]:
-        res = _as_int_matrix(np.asarray(b).reshape(1, -1))[0]
-        if self.hnf.dtype == object and res.dtype != object:
-            res = res.astype(object)
+        """x with x @ M = b, or None when b is outside the row lattice.
+
+        The answer is checked against M in exact arithmetic before it is
+        returned; a mismatch raises InternalInvariant.
+        """
+        b = _as_int_matrix(np.asarray(b).reshape(1, -1))[0]
+        res = b.astype(object) if self.hnf.dtype == object else b
         x = np.zeros(self.nrows, dtype=self.hnf.dtype)
         for i, c in enumerate(self.pivcols):
             piv = self.hnf[i, c]
@@ -572,6 +612,14 @@ class IntSolver:
                 x = x + q * self.tmat[i]
         if np.any(res):
             return None
+        # int64 is exact for the check when no partial sum can reach 2^63
+        if (x.dtype == object or self.mat.dtype == object or
+                _abs_max(x) * self._matmax * self.nrows >= 1 << 63):
+            back = x.astype(object) @ self.mat.astype(object)
+        else:
+            back = x @ self.mat
+        if not np.array_equal(back, b):
+            raise InternalInvariant("integer solve does not reproduce its rhs")
         return x
 
     def contains(self, b) -> bool:

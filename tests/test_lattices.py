@@ -10,7 +10,7 @@ from cohlat.errors import (BudgetExceeded, CoflasquenessCheckFailed,
 from cohlat.groups import Subgroup, builtin_group, subgroup_classes
 from cohlat.lattices import (GLattice, LatticeSES, _diag_block, _wedge_matrix,
                              alpha_image, build_mnq, builtin_lattice,
-                             coflasque_resolution, direct_sum,
+                             cocycles_mod2, coflasque_resolution, direct_sum,
                              exterior_of_rank_one_extension, exterior_ses,
                              gamma2, h1_integral, induced_sign_lattice,
                              integral_cocycles, lambda2,
@@ -18,7 +18,8 @@ from cohlat.lattices import (GLattice, LatticeSES, _diag_block, _wedge_matrix,
                              mod2_reduction, permutation_splitting, phi,
                              pullback_lattice, two_slot_extension,
                              wedge_coords)
-from cohlat.linalg import invariant_factors, quotient_invariant_factors
+from cohlat.linalg import (Subspace, invariant_factors,
+                           quotient_invariant_factors)
 
 
 # -- construction and validation --
@@ -381,6 +382,40 @@ def test_integral_cocycles_expand():
     rows, expand = integral_cocycles(c2, [np.array([[-1]])])
     assert rows.tolist() == [[1]]
     assert expand(rows[0]).tolist() == [[0], [1]]
+
+
+def _mod2_cocycle_cases(g):
+    """Regular, rank-2 trivial, M and one induced-sign lattice, plus the
+    wedge squares among them of rank 1..70 (ranks are checked first: the
+    wedge of a large M does not fit in memory)."""
+    involution = min(x for x in range(1, g.order) if int(g.inv[x]) == x)
+    base = [GLattice.regular(g), GLattice.trivial(g, 2),
+            builtin_lattice("M", g), induced_sign_lattice(g, involution)]
+    wedges = [lambda2(lat) for lat in base
+              if 1 <= lat.rank * (lat.rank - 1) // 2 <= 70]
+    return base + wedges
+
+
+@pytest.mark.parametrize("name", ["C2", "C4", "V4", "C8", "C4xC2",
+                                  "C2xC2xC2", "D4", "Q8"])
+def test_cocycles_mod2_match_the_integral_cocycles(name):
+    # the mod-2^N kernel read mod 2 spans what the integer kernel reduces to;
+    # C2 acting trivially on Z^2 has no integral cocycles but nonzero ones
+    # mod 2, so a kernel taken only mod 2 fails here
+    g = builtin_group(name)
+    for lat in _mod2_cocycle_cases(g):
+        mats = [lat.matrix(s) for s in g.generators()]
+        width = len(mats) * lat.rank
+        zrows, expand = integral_cocycles(g, mats)
+        rows, coeff = cocycles_mod2(g, mats)
+        assert rows.shape[1] == width
+        assert Subspace.span(rows, width) == \
+            Subspace.span(zrows % 2, width), lat.name
+        # the coefficient blocks give every cocycle's values mod 2
+        for z in zrows:
+            table = expand(z) % 2
+            for h in range(g.order):
+                assert np.array_equal((coeff[h] @ z) % 2, table[h])
 
 
 # -- the connecting image and coflasque covers --

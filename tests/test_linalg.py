@@ -4,9 +4,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cohlat.errors import InternalInvariant
 from cohlat.linalg import (
     MAX_MOD_EXP,
     GF2Matrix,
@@ -539,3 +540,49 @@ def test_smith_transforms_are_exact_and_unimodular(rows):
     nonzero = [x for x in diag if x]
     assert all(x > 0 for x in nonzero) and diag[:len(nonzero)] == nonzero
     assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
+
+
+# ---------------------------------------------------------------------------
+# HNF transforms in exact integers
+# ---------------------------------------------------------------------------
+
+# a tall matrix whose transform wrapped in int64 when only H was guarded
+_HNF_WRAP_CASE = [
+    [-9, -10, -4, 6, -1, 4, 5], [1, -4, -1, -1, 10, 6, 9],
+    [2, 7, -2, 9, 7, 1, -3], [-9, 1, 2, 8, -2, -10, -2],
+    [-5, 1, -8, 9, 8, -6, 3], [2, -6, -4, -10, 8, -10, -2],
+    [5, 6, -7, 8, -1, -6, 8], [-4, -7, -6, 0, -7, -8, 1],
+    [7, -5, -2, 3, -9, 1, -2], [1, 8, 8, -3, 0, -10, 8],
+    [10, 1, -1, -8, 3, 10, -2], [4, -5, -9, -4, -9, 8, -3],
+    [2, 9, -9, -5, 5, 9, -4]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 29).flatmap(lambda nr: st.integers(1, 11).flatmap(
+    lambda nc: st.lists(st.lists(st.integers(-10, 10), min_size=nc, max_size=nc),
+                        min_size=nr, max_size=nr))))
+@example(_HNF_WRAP_CASE)
+def test_hnf_transform_is_exact_and_unimodular(rows):
+    a = np.array(rows, dtype=np.int64)
+    h, pivcols, t = row_hnf(a, transform=True)
+    tt = [[int(x) for x in r] for r in t]
+    hh = [[int(x) for x in r] for r in h]
+    zeros = [[0] * a.shape[1]] * (a.shape[0] - len(hh))
+    assert _int_matmul(tt, rows) == hh + zeros
+    assert abs(_int_det(tt)) == 1
+    assert len(pivcols) == len(hh)
+    assert all(hh[i][c] > 0 for i, c in enumerate(pivcols))
+    # the same H without a transform
+    assert [[int(x) for x in r] for r in row_hnf(a)[0]] == hh
+
+
+def test_int_solver_rejects_a_corrupted_factorization():
+    a = np.array([[2, 1, 0], [0, 3, 1], [1, 1, 1]], dtype=np.int64)
+    solver = IntSolver(a)
+    b = np.array([3, 5, 2], dtype=np.int64)
+    x = solver.solve(b)
+    assert np.array_equal(x @ a, b)
+    solver.tmat = solver.tmat.copy()
+    solver.tmat[0, 0] += 1
+    with pytest.raises(InternalInvariant):
+        solver.solve(b)

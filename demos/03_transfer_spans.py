@@ -23,8 +23,8 @@ span, term = transfer_cup_image(gc, sub)
 print("\none order-4 subgroup contributes a span of dim", span.dim,
       "inside dim", gc.h_dim(3))
 
-# the full span over every subgroup class, computed in parallel
-span, terms = transfer_cup_span(gc, threads=2)
+# the full span over every subgroup class
+span, terms = transfer_cup_span(gc)
 print("all classes together:", span.dim, "of", gc.h_dim(3))
 for t in terms:
     print(f"  order {t.order:2d} index {t.index:2d}  "

@@ -11,7 +11,7 @@ from cohlat import (CriterionConfig, GroupCohomology, builtin_group,
 from cohlat.linalg import Subspace
 
 g = builtin_group("sz8-sylow")
-report = evaluate_criterion(g, CriterionConfig(which="b", threads=4))
+report = evaluate_criterion(g, CriterionConfig(which="b"))
 
 print("dim H^0..H^3:", report.h_dims)
 print("span of transferred products:", report.transfer_span_dim)

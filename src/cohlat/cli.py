@@ -63,10 +63,11 @@ def cmd_cohomology(args) -> dict:
 
 
 def cmd_criterion(args) -> dict:
+    if args.threads < 1:
+        raise ValidationError("threads must be positive")
     group = load_group(args.group)
     cfg = CriterionConfig(modulus_exp=args.modulus_exp,
-                          max_degree=args.max_degree,
-                          which=args.which, threads=args.threads)
+                          max_degree=args.max_degree, which=args.which)
     report = evaluate_criterion(group, cfg)
     config = {"modulus_exp": report.modulus_exp,
               "max_degree": report.max_degree, "which": report.which}
@@ -151,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("criterion", help="transfer-span obstruction test")
     common(p)
     p.add_argument("--which", choices=("a", "b", "both"), default="both")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: the run is serial")
     p.add_argument("--modulus-exp", type=int, default=None)
     p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(run=cmd_criterion)

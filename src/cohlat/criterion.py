@@ -8,7 +8,6 @@ A "no" certifies a nonzero obstruction for the group.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +28,6 @@ class CriterionConfig:
     modulus_exp: Optional[int] = None
     max_degree: Optional[int] = None
     which: str = "both"
-    threads: int = 1
 
     def resolve(self, group: FiniteGroup) -> "CriterionConfig":
         if self.which not in WHICH_CHOICES:
@@ -45,9 +43,7 @@ class CriterionConfig:
             raise ValidationError(
                 f"max_degree {deg} too small for variant {self.which!r}; "
                 f"need >= {MIN_MAX_DEGREE[self.which]}")
-        if self.threads < 1:
-            raise ValidationError("threads must be positive")
-        return CriterionConfig(k, deg, self.which, self.threads)
+        return CriterionConfig(k, deg, self.which)
 
 
 @dataclass
@@ -142,21 +138,15 @@ def transfer_cup_image(gc: GroupCohomology, sub: Subgroup
 
 
 def transfer_cup_span(gc: GroupCohomology,
-                      classes: Optional[Sequence[Subgroup]] = None,
-                      threads: int = 1
+                      classes: Optional[Sequence[Subgroup]] = None
                       ) -> Tuple[Subspace, List[SubgroupTerm]]:
     """Union of per-class transfer spans over all subgroup classes."""
     if classes is None:
         classes = subgroup_classes(gc.group)
-    if threads > 1 and len(classes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda s: transfer_cup_image(gc, s), classes))
-    else:
-        results = [transfer_cup_image(gc, s) for s in classes]
     total = Subspace.zero(gc.h_dim(3))
     terms = []
-    for span, term in results:
+    for sub in classes:
+        span, term = transfer_cup_image(gc, sub)
         total = total.union(span)
         terms.append(term)
     return total, terms
@@ -192,7 +182,7 @@ def evaluate_criterion(group: FiniteGroup,
     """Full criterion run for one group."""
     cfg = config.resolve(group)
     gc = GroupCohomology(group, cfg.max_degree, modulus_exp=cfg.modulus_exp)
-    span, terms = transfer_cup_span(gc, threads=cfg.threads)
+    span, terms = transfer_cup_span(gc)
     triple = triple_cup_span(gc)
     want_a = cfg.which in ("a", "both")
     want_b = cfg.which in ("b", "both")

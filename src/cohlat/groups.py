@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,8 @@ MAX_ORDER = 1024
 class FiniteGroup:
     """A finite group given by its full multiplication table."""
 
-    __slots__ = ("order", "table", "inv", "element_orders", "_hash", "_gens", "name")
+    __slots__ = ("order", "table", "inv", "element_orders", "_hash", "_gens",
+                 "_tree", "name")
 
     def __init__(self, table: np.ndarray, name: str = "", validate: bool = True):
         table = np.asarray(table, dtype=np.int64)
@@ -52,6 +53,7 @@ class FiniteGroup:
         self.element_orders = orders
         self._hash = None
         self._gens = None
+        self._tree = None
 
     def _validate(self):
         t = self.table
@@ -119,6 +121,15 @@ class FiniteGroup:
         self._gens = tuple(gens)
         return list(gens)
 
+    def spanning_tree(self) -> "CayleyTree":
+        """The Cayley-graph tree of generators(), built once."""
+        if self._tree is None:
+            tree = cayley_tree(self, self.generators())
+            if len(tree.order) != self.order:
+                raise InternalInvariant("generators do not generate")
+            self._tree = tree
+        return self._tree
+
     def hash_digest(self) -> str:
         h = hashlib.sha256()
         h.update(f"group:{self.order}:".encode())
@@ -137,6 +148,41 @@ class FiniteGroup:
     def __repr__(self):
         tag = self.name or "group"
         return f"FiniteGroup({tag}, order={self.order})"
+
+
+class CayleyTree(NamedTuple):
+    """Breadth-first spanning tree of a Cayley graph, rooted at the identity.
+
+    order lists the reached elements in BFS order. For each reached b other
+    than the identity, b = parent[b] * gens[gen[b]] is its tree edge; both
+    are -1 at the identity and at unreached elements. edges holds every edge
+    (a, i, a * gens[i], is_tree) out of a reached element, in BFS order.
+    """
+    order: Tuple[int, ...]
+    parent: Tuple[int, ...]
+    gen: Tuple[int, ...]
+    edges: Tuple[Tuple[int, int, int, bool], ...]
+
+
+def cayley_tree(group: FiniteGroup, gens: Sequence[int]) -> CayleyTree:
+    """BFS over right multiplication by gens from the identity."""
+    t = group.table
+    parent = [-1] * group.order
+    gen = [-1] * group.order
+    seen = [False] * group.order
+    seen[0] = True
+    order = [0]
+    edges = []
+    for a in order:  # grows as elements are reached
+        for i, s in enumerate(gens):
+            b = int(t[a, s])
+            is_tree = not seen[b]
+            if is_tree:
+                seen[b] = True
+                parent[b], gen[b] = a, i
+                order.append(b)
+            edges.append((a, i, b, is_tree))
+    return CayleyTree(tuple(order), tuple(parent), tuple(gen), tuple(edges))
 
 
 def _prime_power_base(n: int) -> Optional[int]:
@@ -204,7 +250,7 @@ def closure(group: FiniteGroup, seed: Iterable[int]) -> set:
 class Subgroup:
     """A subgroup of a parent group, stored by its sorted element list."""
 
-    __slots__ = ("parent", "elements", "order", "_left_reps", "_as_group")
+    __slots__ = ("parent", "elements", "order", "_cosets", "_as_group")
 
     def __init__(self, parent: FiniteGroup, elements: Sequence[int], check: bool = True):
         el = np.array(sorted(int(x) for x in set(elements)), dtype=np.int64)
@@ -218,7 +264,7 @@ class Subgroup:
         self.parent = parent
         self.elements = el
         self.order = int(el.size)
-        self._left_reps = None
+        self._cosets = None
         self._as_group = None
 
     @property
@@ -229,18 +275,29 @@ class Subgroup:
         i = int(np.searchsorted(self.elements, g))
         return i < self.order and int(self.elements[i]) == g
 
+    def coset_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Left cosets as (coset, pos): g = r * elements[pos[g]] with r the
+        representative of coset number coset[g]. Cosets are numbered by their
+        least element, which is the representative."""
+        if self._cosets is None:
+            n = self.parent.order
+            coset = np.full(n, -1, dtype=np.int64)
+            pos = np.zeros(n, dtype=np.int64)
+            j = 0
+            for g in range(n):
+                if coset[g] < 0:
+                    members = self.parent.table[g, self.elements]
+                    coset[members] = j
+                    pos[members] = np.arange(self.order)
+                    j += 1
+            coset.setflags(write=False)
+            pos.setflags(write=False)
+            self._cosets = (coset, pos)
+        return self._cosets
+
     def coset_reps(self) -> np.ndarray:
         """Left-coset representatives (g for cosets gH), identity first."""
-        if self._left_reps is None:
-            n = self.parent.order
-            seen = np.zeros(n, dtype=bool)
-            reps = []
-            for g in range(n):
-                if not seen[g]:
-                    reps.append(g)
-                    seen[self.parent.table[g, self.elements]] = True
-            self._left_reps = np.array(reps, dtype=np.int64)
-        return self._left_reps
+        return np.flatnonzero(self.coset_table()[1] == 0).astype(np.int64)
 
     def right_coset_reps(self) -> np.ndarray:
         """Right-coset representatives (cosets Hg), identity first."""

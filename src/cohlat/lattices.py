@@ -9,14 +9,14 @@ torsion coordinates and arithmetic on masked rows is read mod 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (BudgetExceeded, CoflasquenessCheckFailed,
                      IncompatibleOperands, InternalInvariant,
                      NotRankOneKernel, ValidationError)
-from .groups import FiniteGroup, Subgroup, subgroup_classes
+from .groups import FiniteGroup, Subgroup, cayley_tree, subgroup_classes
 from .linalg import (GF2Matrix, IntSolver, Subspace, int_left_kernel,
                      int_spans_equal, invariant_factors, kernel_basis_modk,
                      modk_quotient_invariant_factors,
@@ -26,27 +26,6 @@ MAX_DENSE_RANK = 1200
 H1_MAX_RANK = 300
 ALPHA_MAX_ORDER = 16
 M_MATERIALIZE_MAX_ORDER = 16
-
-
-def _hom_walk(group: FiniteGroup, images: Sequence[int], op) -> Optional[list]:
-    """Values of the hom sending generator i to images[i], or None if none."""
-    gens = group.generators()
-    val = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for gi, b in zip(gens, images):
-                c = int(group.table[a, gi])
-                v = op(val[a], b)
-                if c in val:
-                    if val[c] != v:
-                        return None
-                else:
-                    val[c] = v
-                    nxt.append(c)
-        frontier = nxt
-    return [val[i] for i in range(group.order)]
 
 
 class GLattice:
@@ -70,13 +49,12 @@ class GLattice:
                              np.asarray(s, dtype=np.int64))
                             for p, s in gen_actions]
             self.rank = len(self._gen_ps[0][0])
-            self._ps_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         else:
             self._gen_mats = [np.asarray(m, dtype=np.int64)
                               for m in gen_actions]
             self.rank = (self._gen_mats[0].shape[0] if self._gen_mats
                          else (rank if rank is not None else 0))
-            self._mat_cache: Dict[int, np.ndarray] = {}
+        self._cache = {}
         if rank is not None and rank != self.rank:
             raise ValidationError("stated rank disagrees with the matrices")
         self.permutation = permutation
@@ -84,64 +62,52 @@ class GLattice:
         self.mod2_mask = (np.asarray(mod2_mask, dtype=bool)
                           if mod2_mask is not None else None)
         self.name = name
-        self._parent: Dict[int, Tuple[int, int]] = {}
-        self._build_words()
         if validate:
             self._validate()
 
-    def _build_words(self):
-        """BFS over the Cayley graph: element -> (earlier element, generator)."""
-        gens = self.group.generators()
-        t = self.group.table
-        self._parent = {0: (-1, -1)}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for i, s in enumerate(gens):
-                    b = int(t[a, s])
-                    if b not in self._parent:
-                        self._parent[b] = (a, i)
-                        nxt.append(b)
-            frontier = nxt
-        if len(self._parent) != self.group.order:
-            raise InternalInvariant("generators do not generate")
+    def _action(self, g: int):
+        """Action of g, (p, s) if monomial else the matrix, composed down the
+        group's spanning tree from the nearest cached element."""
+        if not 0 <= g < self.group.order:
+            raise ValidationError(f"element {g} out of range")
+        if g == 0 and 0 not in self._cache:
+            self._cache[0] = ((np.arange(self.rank, dtype=np.int64),
+                               np.ones(self.rank, dtype=np.int64))
+                              if self.monomial
+                              else np.eye(self.rank, dtype=np.int64))
+        tree = self.group.spanning_tree()
+        path = []
+        a = g
+        while a != 0 and a not in self._cache:
+            path.append(a)
+            a = tree.parent[a]
+        for b in reversed(path):
+            a, i = tree.parent[b], tree.gen[b]
+            if self.monomial:
+                ps, ss = self._gen_ps[i]
+                if a == 0:
+                    self._cache[b] = (ps.copy(), ss.copy())
+                else:
+                    pa, sa = self._cache[a]
+                    self._cache[b] = (pa[ps], sa[ps] * ss)
+            else:
+                self._cache[b] = (self._gen_mats[i].copy() if a == 0
+                                  else self._cache[a] @ self._gen_mats[i])
+        return self._cache[g]
 
     def perm_sign(self, g: int) -> Tuple[np.ndarray, np.ndarray]:
         """(p, s) with A(g) e_j = s[j] e_p[j]."""
         if not self.monomial:
             raise IncompatibleOperands("dense lattice has no monomial form")
-        got = self._ps_cache.get(g)
-        if got is not None:
-            return got
-        if g == 0:
-            out = (np.arange(self.rank, dtype=np.int64),
-                   np.ones(self.rank, dtype=np.int64))
-        else:
-            a, i = self._parent[g]
-            pa, sa = self.perm_sign(a)
-            ps, ss = self._gen_ps[i]
-            out = (pa[ps], sa[ps] * ss)
-        self._ps_cache[g] = out
-        return out
+        return self._action(g)
 
     def matrix(self, g: int) -> np.ndarray:
         if self.monomial:
-            p, s = self.perm_sign(g)
+            p, s = self._action(g)
             m = np.zeros((self.rank, self.rank), dtype=np.int64)
             m[p, np.arange(self.rank)] = s
             return m
-        got = self._mat_cache.get(g)
-        if got is not None:
-            return got
-        if g == 0:
-            out = np.eye(self.rank, dtype=np.int64)
-        else:
-            a, i = self._parent[g]
-            out = (self._gen_mats[i].copy() if a == 0
-                   else self.matrix(a) @ self._gen_mats[i])
-        self._mat_cache[g] = out
-        return out
+        return self._action(g)
 
     def apply(self, g: int, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.int64)
@@ -165,7 +131,6 @@ class GLattice:
             raise BudgetExceeded(
                 f"dense lattice rank {self.rank} exceeds {MAX_DENSE_RANK}")
         gens = self.group.generators()
-        t = self.group.table
         if self.permutation:
             for g in gens:
                 if self.monomial:
@@ -185,24 +150,23 @@ class GLattice:
                 if m[np.ix_(free, self.mod2_mask)].any():
                     raise ValidationError(
                         "torsion coordinates leak into free ones")
-        # consistency on every Cayley edge forces a homomorphism
-        for g in range(self.group.order):
-            for i, s in enumerate(gens):
-                gs = int(t[g, s])
-                if self.monomial:
-                    pg, sg = self.perm_sign(g)
-                    ps, ss = self._gen_ps[i]
-                    pe, se = self.perm_sign(gs)
-                    if not (np.array_equal(pe, pg[ps])
-                            and np.array_equal(se, sg[ps] * ss)):
-                        raise ValidationError(
-                            "generator actions violate the group relations")
-                else:
-                    lhs = self.matrix(gs)
-                    rhs = self.matrix(g) @ self._gen_mats[i]
-                    if not self._eq_mats(lhs, rhs):
-                        raise ValidationError(
-                            "generator actions violate the group relations")
+        # consistency on every Cayley edge forces a homomorphism; tree
+        # edges hold by construction
+        for g, i, gs, is_tree in self.group.spanning_tree().edges:
+            if is_tree:
+                continue
+            if self.monomial:
+                pg, sg = self.perm_sign(g)
+                ps, ss = self._gen_ps[i]
+                pe, se = self.perm_sign(gs)
+                ok = (np.array_equal(pe, pg[ps])
+                      and np.array_equal(se, sg[ps] * ss))
+            else:
+                ok = self._eq_mats(self.matrix(gs),
+                                   self.matrix(g) @ self._gen_mats[i])
+            if not ok:
+                raise ValidationError(
+                    "generator actions violate the group relations")
 
     # -- constructions ------------------------------------------------------
 
@@ -225,13 +189,13 @@ class GLattice:
     @classmethod
     def sign_lattice(cls, group: FiniteGroup) -> "GLattice":
         gens = group.generators()
-        vals = _hom_walk(group, [1] * len(gens), lambda a, b: a ^ b)
-        if vals is None or not gens:
-            raise ValidationError("group admits no order-two character")
-        mats = [np.array([[-1]], dtype=np.int64) for _ in gens]
-        lat = cls(group, mats, name="sign")
-        lat.character = np.array(vals, dtype=np.int64)
-        return lat
+        if gens:
+            try:
+                return cls(group, [np.array([[-1]], dtype=np.int64)
+                                   for _ in gens], name="sign")
+            except ValidationError:
+                pass
+        raise ValidationError("group admits no order-two character")
 
     # -- derived data -------------------------------------------------------
 
@@ -546,7 +510,7 @@ class MNQData:
     m_rank: int
     m_torsion_free: bool
     m_lattice: Optional[GLattice] = None
-    m_basis_columns: Optional[np.ndarray] = None
+    m_projection: Optional[np.ndarray] = None    # product coords -> M basis
 
 
 def _product_perm(group: FiniteGroup, g: int) -> np.ndarray:
@@ -596,45 +560,33 @@ def build_mnq(group: FiniteGroup,
     if materialize_m is None:
         materialize_m = group.order <= M_MATERIALIZE_MAX_ORDER
     if materialize_m:
-        data.m_lattice, data.m_basis_columns = _coker_lattice(group, hnf,
-                                                              pivcols)
+        data.m_lattice, data.m_projection = _coker_lattice(group, hnf,
+                                                           pivcols)
     return data
 
 
 def _coker_lattice(group: FiniteGroup, hnf: np.ndarray, pivcols) -> \
         Tuple[GLattice, np.ndarray]:
-    """Cokernel of the image lattice inside the product permutation lattice."""
+    """Cokernel of the image lattice inside the product permutation lattice,
+    with the projection onto its basis of free (non-pivot) coordinates.
+
+    The pivots of hnf are units with zeros above and below, so column c of
+    the projection is e_c reduced by the image rows: a unit vector at a free
+    c and minus the free part of the pivot row at a pivot c.
+    """
     n2 = hnf.shape[1]
-    piv = {int(c): i for i, c in enumerate(pivcols)}
-    if any(int(hnf[i, c]) != 1 for i, c in enumerate(pivcols)):
+    pivcols = np.asarray(pivcols, dtype=np.int64)
+    if not np.array_equal(hnf[:, pivcols],
+                          np.eye(len(pivcols), dtype=np.int64)):
         raise InternalInvariant("cokernel needs unit pivots")
-    free_cols = np.array([c for c in range(n2) if c not in piv],
-                         dtype=np.int64)
-    col_pos = {int(c): i for i, c in enumerate(free_cols)}
-
-    def reduce_vec(v: np.ndarray) -> np.ndarray:
-        v = v.copy()
-        for c, i in piv.items():
-            if v[c]:
-                v = v - v[c] * hnf[i]
-        out = np.zeros(len(free_cols), dtype=np.int64)
-        for c in np.nonzero(v)[0]:
-            out[col_pos[int(c)]] = v[c]
-        return out
-
-    gens = group.generators()
-    mats = []
-    for g in gens:
-        perm = _product_perm(group, g)
-        cols = []
-        for c in free_cols:
-            e = np.zeros(n2, dtype=np.int64)
-            e[perm[c]] = 1
-            cols.append(reduce_vec(e))
-        mats.append(np.array(cols, dtype=np.int64).T if cols
-                    else np.zeros((0, 0), dtype=np.int64))
-    lat = GLattice(group, mats, rank=len(free_cols), name="marginal-quotient")
-    return lat, free_cols
+    free = np.delete(np.arange(n2, dtype=np.int64), pivcols)
+    proj = np.zeros((len(free), n2), dtype=np.int64)
+    proj[:, free] = np.eye(len(free), dtype=np.int64)
+    proj[:, pivcols] = -hnf[:, free].T
+    mats = [proj[:, _product_perm(group, g)[free]]
+            for g in group.generators()]
+    lat = GLattice(group, mats, rank=len(free), name="marginal-quotient")
+    return lat, proj
 
 
 def two_slot_extension(data: MNQData) -> LatticeSES:
@@ -709,7 +661,7 @@ def h1_integral(group_like, lat: GLattice) -> List[int]:
 
 def _schreier_walk(group: FiniteGroup, mats: List[np.ndarray],
                    modulus: Optional[int] = None):
-    """Cocycle values and closing conditions along a BFS of the Cayley graph.
+    """Cocycle values and closing conditions along the group's spanning tree.
 
     A cocycle z (rule z(gh) = z(g) + g z(h)) is fixed by its values on the
     d group generators, concatenated into one vector x of d*m unknowns.
@@ -740,26 +692,18 @@ def _schreier_walk(group: FiniteGroup, mats: List[np.ndarray],
 
         def times(a, i):
             return (a.astype(np.float64) @ fmats[i]).astype(np.int64) & mask
-    t = group.table
-    emat: Dict[int, np.ndarray] = {0: np.eye(m, dtype=np.int64)}
-    coeff: Dict[int, np.ndarray] = {0: np.zeros((m, d * m), dtype=np.int64)}
-    frontier = [0]
+    emat = {0: np.eye(m, dtype=np.int64)}
+    coeff = {0: np.zeros((m, d * m), dtype=np.int64)}
     closing = []
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for i, s in enumerate(gens):
-                b = int(t[a, s])
-                expr = coeff[a].copy()
-                expr[:, i * m:(i + 1) * m] += emat[a]
-                expr = red(expr)
-                if b in coeff:
-                    closing.append(red(coeff[b] - expr))
-                else:
-                    coeff[b] = expr
-                    emat[b] = times(emat[a], i)
-                    nxt.append(b)
-        frontier = nxt
+    for a, i, b, is_tree in group.spanning_tree().edges:
+        expr = coeff[a].copy()
+        expr[:, i * m:(i + 1) * m] += emat[a]
+        expr = red(expr)
+        if is_tree:
+            coeff[b] = expr
+            emat[b] = times(emat[a], i)
+        else:
+            closing.append(red(coeff[b] - expr))
     # |G| * d edges against |G| - 1 tree edges: closing is never empty
     return coeff, np.hstack([c.T for c in closing])
 
@@ -1007,14 +951,10 @@ def coflasque_resolution(lat: GLattice,
         at = 0
         for sub, reps, fixed in blocks:
             k = fixed.shape[0]
-            cos = {}
-            for j, r in enumerate(reps):
-                for h in sub.elements:
-                    cos[int(group.table[r, h])] = j
-            for j, r in enumerate(reps):
-                j2 = cos[int(group.table[g, r])]
-                for s in range(k):
-                    mat[at + j2 * k + s, at + j * k + s] = 1
+            src = np.arange(len(reps))
+            dst = sub.coset_table()[0][group.table[g, reps]]
+            for s in range(k):
+                mat[at + dst * k + s, at + src * k + s] = 1
             at += len(reps) * k
         pmats.append(mat)
     cover = GLattice(group, pmats, rank=total, permutation=True,
@@ -1061,25 +1001,12 @@ def pullback_lattice(data: MNQData,
     Replaces the product lattice with a cover whose kernel is coflasque; the
     result is itself verified coflasque.
     """
-    if data.m_lattice is None or data.m_basis_columns is None:
+    if data.m_lattice is None or data.m_projection is None:
         raise BudgetExceeded("marginal quotient was not materialized")
     group = data.group
-    mlat = data.m_lattice
     n2 = data.rho.shape[1]
-    col_pos = {int(c): i for i, c in enumerate(data.m_basis_columns)}
-    hnf, pivcols, _ = row_hnf(data.rho)
-    pivd = {int(c): i for i, c in enumerate(pivcols)}
-    pmap = np.zeros((mlat.rank, n2), dtype=np.int64)
-    for c in range(n2):
-        v = np.zeros(n2, dtype=np.int64)
-        v[c] = 1
-        for pc, i in pivd.items():
-            if v[pc]:
-                v = v - v[pc] * hnf[i]
-        for cc in np.nonzero(v)[0]:
-            pmap[col_pos[int(cc)], c] = v[cc]
     ev = resolution.ses.proj
-    rows = int_left_kernel(np.hstack([pmap, -ev]).T)
+    rows = int_left_kernel(np.hstack([data.m_projection, -ev]).T)
     solver = IntSolver(rows)
     gens = group.generators()
     mats = []
@@ -1165,22 +1092,11 @@ def induced_sign_lattice(group: FiniteGroup, involution: int) -> GLattice:
         raise ValidationError("element is not an involution")
     sub = Subgroup(group, sorted({0, involution}))
     reps = sub.coset_reps()
-    cos = {}
-    side = {}
-    for j, r in enumerate(reps):
-        for li, h in enumerate(sub.elements):
-            x = int(group.table[r, h])
-            cos[x] = j
-            side[x] = li
+    coset, pos = sub.coset_table()
     acts = []
     for g in group.generators():
-        p = np.zeros(len(reps), dtype=np.int64)
-        s = np.zeros(len(reps), dtype=np.int64)
-        for j, r in enumerate(reps):
-            x = int(group.table[g, r])
-            p[j] = cos[x]
-            s[j] = 1 if side[x] == 0 else -1
-        acts.append((p, s))
+        x = group.table[g, reps]
+        acts.append((coset[x], np.where(pos[x] == 0, 1, -1)))
     return GLattice(group, acts, rank=len(reps), name="induced-sign")
 
 
@@ -1224,19 +1140,12 @@ def lattice_from_json(group: FiniteGroup, data: dict) -> GLattice:
             raise ValidationError(f"element {el} out of range")
         if mat.shape != (rank, rank):
             raise ValidationError("matrix shape disagrees with the rank")
-    known: Dict[int, np.ndarray] = {0: np.eye(rank, dtype=np.int64)}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for el, mat in entries:
-                b = int(group.table[a, el])
-                if b not in known:
-                    known[b] = known[a] @ mat
-                    nxt.append(b)
-        frontier = nxt
-    if len(known) != group.order:
+    tree = cayley_tree(group, [el for el, _ in entries])
+    if len(tree.order) != group.order:
         raise ValidationError("listed elements do not generate the group")
+    known = {0: np.eye(rank, dtype=np.int64)}
+    for b in tree.order[1:]:
+        known[b] = known[tree.parent[b]] @ entries[tree.gen[b]][1]
     lat = GLattice(group, [known[s] for s in group.generators()], rank=rank,
                    name="from-json")
     for el, mat in entries:

@@ -63,6 +63,13 @@ def test_criterion_is_thread_deterministic(capsys):
     assert one == two
 
 
+def test_criterion_threads_must_be_positive(capsys):
+    # the flag is accepted and ignored, but still validated
+    code, _, err = run(capsys, "criterion", "--group", "builtin:C2",
+                       "--threads", "0")
+    assert code == 2 and "threads" in err
+
+
 def test_phi_builtin_lattices(capsys):
     for lat in ("builtin:M", "builtin:regular"):
         code, out, _ = run(capsys, "phi", "--group", "builtin:C2",

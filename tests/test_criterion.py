@@ -6,8 +6,7 @@ import pytest
 
 from cohlat.cohomology import GroupCohomology, SubgroupLink
 from cohlat.criterion import (CriterionConfig, evaluate_criterion,
-                              transfer_cup_image, transfer_cup_span,
-                              triple_cup_span)
+                              transfer_cup_image, triple_cup_span)
 from cohlat.errors import ModulusTooSmall, ValidationError
 from cohlat.groups import Subgroup, builtin_group, closure, subgroup_classes
 from cohlat.linalg import GF2Matrix, Subspace
@@ -205,15 +204,6 @@ def test_span_is_conjugation_invariant():
         assert other == base
 
 
-def test_threads_agree_with_serial():
-    g = builtin_group("D8")
-    gc = GroupCohomology(g, 3)
-    s1, t1 = transfer_cup_span(gc, threads=1)
-    s2, t2 = transfer_cup_span(gc, threads=4)
-    assert s1 == s2
-    assert [t.to_dict() for t in t1] == [t.to_dict() for t in t2]
-
-
 def test_report_dict_roundtrips(sz8_report):
     d = sz8_report.to_dict()
     assert d["criterion_b"] is True
@@ -232,8 +222,6 @@ def test_config_validation():
         evaluate_criterion(g, CriterionConfig(max_degree=4))
     with pytest.raises(ValidationError):
         evaluate_criterion(g, CriterionConfig(which="b", max_degree=3))
-    with pytest.raises(ValidationError):
-        evaluate_criterion(g, CriterionConfig(threads=0))
     with pytest.raises(ModulusTooSmall):
         evaluate_criterion(g, CriterionConfig(modulus_exp=1))
     cfg = CriterionConfig(which="b").resolve(g)

@@ -222,6 +222,24 @@ def test_cosets_partition():
     assert covered == set(range(8))
 
 
+@pytest.mark.parametrize("name", ["D8", "sz8-sylow"])
+def test_coset_table_matches_the_coset_loop(name):
+    # one table gives each element's coset and position in H; the
+    # representatives are those of the first-unseen-element loop
+    g = builtin_group(name)
+    for h in subgroup_classes(g):
+        seen = np.zeros(g.order, dtype=bool)
+        reps = []
+        for x in range(g.order):
+            if not seen[x]:
+                reps.append(x)
+                seen[g.table[x, h.elements]] = True
+        assert h.coset_reps().tolist() == reps
+        coset, pos = h.coset_table()
+        for x in range(g.order):
+            assert g.mul(reps[coset[x]], int(h.elements[pos[x]])) == x
+
+
 def test_as_group_is_valid_group():
     g = quaternion_group(16)
     h = Subgroup(g, sorted(closure(g, [g.generators()[0]])))

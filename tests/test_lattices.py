@@ -7,8 +7,10 @@ import pytest
 from cohlat.errors import (BudgetExceeded, CoflasquenessCheckFailed,
                            IncompatibleOperands, NotRankOneKernel,
                            ValidationError)
-from cohlat.groups import Subgroup, builtin_group, subgroup_classes
-from cohlat.lattices import (GLattice, LatticeSES, _diag_block, _wedge_matrix,
+from cohlat.groups import (Subgroup, builtin_group, cyclic_group,
+                           dihedral_group, subgroup_classes)
+from cohlat.lattices import (GLattice, LatticeSES, _diag_block,
+                             _product_perm, _schreier_walk, _wedge_matrix,
                              alpha_image, build_mnq, builtin_lattice,
                              cocycles_mod2, coflasque_resolution, direct_sum,
                              exterior_of_rank_one_extension, exterior_ses,
@@ -19,7 +21,7 @@ from cohlat.lattices import (GLattice, LatticeSES, _diag_block, _wedge_matrix,
                              pullback_lattice, two_slot_extension,
                              wedge_coords)
 from cohlat.linalg import (Subspace, invariant_factors,
-                           quotient_invariant_factors)
+                           quotient_invariant_factors, row_hnf)
 
 
 # -- construction and validation --
@@ -80,6 +82,11 @@ def test_apply_agrees_with_matrix():
         g = rng.randrange(8)
         v = np.array([rng.randrange(-5, 6) for _ in range(8)])
         assert np.array_equal(reg.apply(g, v), reg.matrix(g) @ v)
+    for g in (-1, 8):
+        with pytest.raises(ValidationError):
+            reg.matrix(g)
+        with pytest.raises(ValidationError):
+            GLattice.sign_lattice(d4).matrix(g)
 
 
 def test_regular_lattice_is_left_translation():
@@ -416,6 +423,170 @@ def test_cocycles_mod2_match_the_integral_cocycles(name):
             table = expand(z) % 2
             for h in range(g.order):
                 assert np.array_equal((coeff[h] @ z) % 2, table[h])
+
+
+# -- the spanning-tree walks against the breadth-first walks they replaced --
+
+SMALL_BUILTINS = ["C2", "C4", "C8", "C16", "V4", "C4xC2", "C2xC2xC2",
+                  "C4xC4", "D4", "Q8", "D8", "Q16"]
+
+
+def _bfs_reference(group, gens):
+    """Level-by-level BFS from the identity: element -> (parent, generator
+    index), and every edge (a, i, b, new) in the order the walk meets it."""
+    parent = {0: (-1, -1)}
+    edges = []
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for i, s in enumerate(gens):
+                b = int(group.table[a, s])
+                edges.append((a, i, b, b not in parent))
+                if b not in parent:
+                    parent[b] = (a, i)
+                    nxt.append(b)
+        frontier = nxt
+    return parent, edges
+
+
+def _schreier_reference(group, mats, modulus=None):
+    """The cocycle walk as a BFS of its own, blocks reduced by the mask and
+    products taken in int64."""
+    d, m = len(mats), mats[0].shape[0]
+    red = (lambda x: x) if modulus is None else (lambda x: x & (modulus - 1))
+    _, edges = _bfs_reference(group, group.generators())
+    emat = {0: np.eye(m, dtype=np.int64)}
+    coeff = {0: np.zeros((m, d * m), dtype=np.int64)}
+    closing = []
+    for a, i, b, new in edges:
+        expr = coeff[a].copy()
+        expr[:, i * m:(i + 1) * m] += emat[a]
+        expr = red(expr)
+        if new:
+            coeff[b] = expr
+            emat[b] = red(emat[a] @ mats[i])
+        else:
+            closing.append(red(coeff[b] - expr))
+    return coeff, np.hstack([c.T for c in closing])
+
+
+def _tree_cases(g):
+    lats = [GLattice.regular(g), GLattice.sign_lattice(g)]
+    if g.order <= 8:
+        lats += [lambda2(lats[0]), builtin_lattice("M", g)]
+    return lats
+
+
+@pytest.mark.parametrize("name", SMALL_BUILTINS)
+def test_lattice_matrices_match_the_bfs_words(name):
+    g = builtin_group(name)
+    parent, _ = _bfs_reference(g, g.generators())
+    for lat in _tree_cases(g):
+        if lat.monomial:
+            gens = []
+            for p, sg in lat._gen_ps:
+                m = np.zeros((lat.rank, lat.rank), dtype=np.int64)
+                m[p, np.arange(lat.rank)] = sg
+                gens.append(m)
+        else:
+            gens = lat._gen_mats
+        want = {0: np.eye(lat.rank, dtype=np.int64)}
+        for b, (a, i) in parent.items():
+            if b:
+                want[b] = want[a] @ gens[i]
+        for x in range(g.order):
+            got = lat.matrix(x)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want[x]), (lat.name, x)
+
+
+@pytest.mark.parametrize("name", SMALL_BUILTINS)
+def test_schreier_walk_matches_the_bfs_walk(name):
+    g = builtin_group(name)
+    n = (g.order & -g.order).bit_length()
+    for lat in _tree_cases(g):
+        mats = [lat.matrix(s) for s in g.generators()]
+        for modulus in (None, 1 << n):
+            coeff, system = _schreier_walk(g, mats, modulus)
+            want_coeff, want_system = _schreier_reference(g, mats, modulus)
+            assert system.dtype == np.int64
+            assert np.array_equal(system, want_system), (lat.name, modulus)
+            assert list(coeff) == list(want_coeff)
+            for x in want_coeff:
+                assert np.array_equal(coeff[x], want_coeff[x])
+
+
+def _character_reference(group):
+    """Values mod 2 of the character sending every generator to -1, or None
+    where the relations forbid it."""
+    val = {0: 0}
+    for a, _, b, new in _bfs_reference(group, group.generators())[1]:
+        if new:
+            val[b] = val[a] ^ 1
+        elif val[b] != val[a] ^ 1:
+            return None
+    return val
+
+
+@pytest.mark.parametrize("group", [builtin_group(n) for n in SMALL_BUILTINS]
+                         + [cyclic_group(3), cyclic_group(6),
+                            dihedral_group(6), dihedral_group(12)],
+                         ids=lambda g: g.name)
+def test_sign_lattice_matches_the_character_walk(group):
+    val = _character_reference(group)
+    if val is None:
+        with pytest.raises(ValidationError, match="order-two character"):
+            GLattice.sign_lattice(group)
+        return
+    lat = GLattice.sign_lattice(group)
+    for x in range(group.order):
+        assert lat.matrix(x).tolist() == [[(-1) ** val[x]]]
+
+
+def test_lattice_from_json_with_redundant_elements():
+    # all of D4, then all but the canonical generators, listed backwards
+    # so that each generator is a product of two listed elements that do
+    # not commute; the identity is listed too, and every matrix is checked
+    d4 = builtin_group("D4")
+    reg = GLattice.regular(d4)
+    gens = d4.generators()
+    for listed in (range(8), [x for x in range(7, -1, -1) if x not in gens]):
+        data = {"rank": 8, "generators": [
+            {"element": x, "matrix": reg.matrix(x).tolist()} for x in listed]}
+        lat = lattice_from_json(d4, data)
+        for x in range(8):
+            assert np.array_equal(lat.matrix(x), reg.matrix(x))
+        data["generators"][1]["matrix"] = reg.matrix(0).tolist()
+        with pytest.raises(ValidationError):
+            lattice_from_json(d4, data)
+
+
+@pytest.mark.parametrize("name", ["C2", "C4", "V4", "D4", "Q8", "C8",
+                                  "C4xC2", "C2xC2xC2"])
+def test_coker_projection_matches_pivot_reduction(name):
+    g = builtin_group(name)
+    data = build_mnq(g)
+    hnf, pivcols, _ = row_hnf(data.rho)
+    assert np.array_equal(hnf, data.image_basis)
+    n2 = hnf.shape[1]
+    free = [c for c in range(n2) if c not in set(pivcols)]
+
+    def reduce_vec(c):
+        v = np.zeros(n2, dtype=np.int64)
+        v[c] = 1
+        for i, p in enumerate(pivcols):
+            if v[p]:
+                v = v - v[p] * hnf[i]
+        return v[free]
+
+    want = np.array([reduce_vec(c) for c in range(n2)], dtype=np.int64).T
+    assert np.array_equal(data.m_projection, want)
+    for s in g.generators():
+        perm = _product_perm(g, s)
+        cols = [reduce_vec(perm[c]) for c in free]
+        assert np.array_equal(data.m_lattice.matrix(s),
+                              np.array(cols, dtype=np.int64).T)
 
 
 # -- the connecting image and coflasque covers --

@@ -250,7 +250,8 @@ def closure(group: FiniteGroup, seed: Iterable[int]) -> set:
 class Subgroup:
     """A subgroup of a parent group, stored by its sorted element list."""
 
-    __slots__ = ("parent", "elements", "order", "_cosets", "_as_group")
+    __slots__ = ("parent", "elements", "order", "_cosets", "_rcosets",
+                 "_as_group")
 
     def __init__(self, parent: FiniteGroup, elements: Sequence[int], check: bool = True):
         el = np.array(sorted(int(x) for x in set(elements)), dtype=np.int64)
@@ -265,6 +266,7 @@ class Subgroup:
         self.elements = el
         self.order = int(el.size)
         self._cosets = None
+        self._rcosets = None
         self._as_group = None
 
     @property
@@ -280,20 +282,31 @@ class Subgroup:
         representative of coset number coset[g]. Cosets are numbered by their
         least element, which is the representative."""
         if self._cosets is None:
-            n = self.parent.order
-            coset = np.full(n, -1, dtype=np.int64)
-            pos = np.zeros(n, dtype=np.int64)
-            j = 0
-            for g in range(n):
-                if coset[g] < 0:
-                    members = self.parent.table[g, self.elements]
-                    coset[members] = j
-                    pos[members] = np.arange(self.order)
-                    j += 1
-            coset.setflags(write=False)
-            pos.setflags(write=False)
-            self._cosets = (coset, pos)
+            self._cosets = self._cosets_of(self.parent.table[:, self.elements])
         return self._cosets
+
+    def right_coset_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Right cosets as (coset, pos): g = elements[pos[g]] * r, numbered
+        and represented as in coset_table."""
+        if self._rcosets is None:
+            self._rcosets = self._cosets_of(self.parent.table[self.elements].T)
+        return self._rcosets
+
+    def _cosets_of(self, members: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(coset, pos) from members[g], the coset of g listed in the order
+        of the elements, taking cosets in order of their least element."""
+        n = self.parent.order
+        coset = np.full(n, -1, dtype=np.int64)
+        pos = np.zeros(n, dtype=np.int64)
+        j = 0
+        for g in range(n):
+            if coset[g] < 0:
+                coset[members[g]] = j
+                pos[members[g]] = np.arange(self.order)
+                j += 1
+        coset.setflags(write=False)
+        pos.setflags(write=False)
+        return coset, pos
 
     def coset_reps(self) -> np.ndarray:
         """Left-coset representatives (g for cosets gH), identity first."""
@@ -301,14 +314,8 @@ class Subgroup:
 
     def right_coset_reps(self) -> np.ndarray:
         """Right-coset representatives (cosets Hg), identity first."""
-        n = self.parent.order
-        seen = np.zeros(n, dtype=bool)
-        reps = []
-        for g in range(n):
-            if not seen[g]:
-                reps.append(g)
-                seen[self.parent.table[self.elements, g]] = True
-        return np.array(reps, dtype=np.int64)
+        pos = self.right_coset_table()[1]
+        return np.flatnonzero(pos == 0).astype(np.int64)
 
     def as_group(self) -> Tuple[FiniteGroup, np.ndarray]:
         """The subgroup as a standalone group plus local->global element map."""

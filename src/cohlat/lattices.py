@@ -17,7 +17,7 @@ from .errors import (BudgetExceeded, CoflasquenessCheckFailed,
                      IncompatibleOperands, InternalInvariant,
                      NotRankOneKernel, ValidationError)
 from .groups import FiniteGroup, Subgroup, cayley_tree, subgroup_classes
-from .linalg import (GF2Matrix, IntSolver, Subspace, int_left_kernel,
+from .linalg import (GF2Matrix, IntSolver, int_left_kernel,
                      int_spans_equal, invariant_factors, kernel_basis_modk,
                      modk_quotient_invariant_factors,
                      quotient_invariant_factors, row_hnf, smith_normal_form)
@@ -645,8 +645,7 @@ def h1_integral(group_like, lat: GLattice) -> List[int]:
     order = hgrp.order
     if order & (order - 1) == 0:
         v = order.bit_length() - 1
-        blocks = np.hstack([mt.T - np.eye(m, dtype=np.int64) for mt in mats])
-        fixed_mod = kernel_basis_modk(blocks, v)
+        fixed_mod, blocks = _fixed_points_mod2k(order, mats)
         fixed_int = int_left_kernel(blocks)
         return modk_quotient_invariant_factors(
             fixed_mod, fixed_int % (1 << v), v)
@@ -659,8 +658,15 @@ def h1_integral(group_like, lat: GLattice) -> List[int]:
     return facs
 
 
-def _schreier_walk(group: FiniteGroup, mats: List[np.ndarray],
-                   modulus: Optional[int] = None):
+def _fixed_points_mod2k(order: int, mats: List[np.ndarray]):
+    """Rows fixed mod 2^k by the matrices, 2^k > 1 the two-part of order: the
+    kernel mod 2^k of hstack(A^T - I), returned with that system."""
+    k = (order & -order).bit_length() - 1
+    system = np.hstack([mt.T - np.eye(len(mt), dtype=np.int64) for mt in mats])
+    return kernel_basis_modk(system, k), system
+
+
+def _schreier_walk(group: FiniteGroup, mats: List[np.ndarray]):
     """Cocycle values and closing conditions along the group's spanning tree.
 
     A cocycle z (rule z(gh) = z(g) + g z(h)) is fixed by its values on the
@@ -668,42 +674,22 @@ def _schreier_walk(group: FiniteGroup, mats: List[np.ndarray],
     Returns (coeff, system): z(g) = coeff[g] @ x for every element g, and
     the cocycle conditions are x @ system = 0, one column block per edge
     outside the BFS tree (a Schreier generator of the relation group).
-
-    With a 2-power modulus every block is reduced into [0, modulus) after
-    each step and the products run in float64 BLAS, which is exact while
-    modulus**2 * m stays below 2**53; without one the walk runs on int64.
     """
     gens = group.generators()
     d = len(gens)
     m = mats[0].shape[0]
     mats = [np.asarray(mt, dtype=np.int64) for mt in mats]
-    if modulus is None:
-        def red(x):
-            return x
-
-        def times(a, i):
-            return a @ mats[i]
-    else:
-        mask = modulus - 1
-        fmats = [(mt & mask).astype(np.float64) for mt in mats]
-
-        def red(x):
-            return x & mask
-
-        def times(a, i):
-            return (a.astype(np.float64) @ fmats[i]).astype(np.int64) & mask
     emat = {0: np.eye(m, dtype=np.int64)}
     coeff = {0: np.zeros((m, d * m), dtype=np.int64)}
     closing = []
     for a, i, b, is_tree in group.spanning_tree().edges:
         expr = coeff[a].copy()
         expr[:, i * m:(i + 1) * m] += emat[a]
-        expr = red(expr)
         if is_tree:
             coeff[b] = expr
-            emat[b] = times(emat[a], i)
+            emat[b] = emat[a] @ mats[i]
         else:
-            closing.append(red(coeff[b] - expr))
+            closing.append(coeff[b] - expr)
     # |G| * d edges against |G| - 1 tree edges: closing is never empty
     return coeff, np.hstack([c.T for c in closing])
 
@@ -732,35 +718,6 @@ def integral_cocycles(group: FiniteGroup, mats: List[np.ndarray]):
     return rows, expand
 
 
-def cocycles_mod2(group: FiniteGroup, mats: List[np.ndarray]):
-    """Integral crossed homomorphisms read mod 2, from a kernel mod 2^N.
-
-    Returns (rows, coeff): 0/1 rows spanning the reductions mod 2 of the
-    integral cocycles (generator-parametrized as in integral_cocycles), and
-    the coefficient blocks of _schreier_walk, reduced mod 2^N, giving each
-    cocycle's value on every element. N = v2(|G|) + 1.
-
-    Why this is exact. The relation sequence 0 -> R^ab -> Z[G]^d -> I_G -> 0
-    turns the cocycle system S : L^d -> Hom_Z(R^ab, L) = L^c into a map
-    whose image lies in the saturated sublattice Hom_G(R^ab, L), with
-    Hom_G(R^ab, L) / im S = Ext^1_G(I_G, L) = H^2(G, L). So the torsion of
-    coker S is H^2(G, L), which |G| annihilates: every nonzero elementary
-    divisor of S has 2-adic valuation at most N - 1. In Smith coordinates
-    y = x U^-1, x S = 0 mod 2^N forces y_i = 0 mod 2 wherever d_i != 0,
-    while an integral kernel vector needs y_i = 0 there. Hence every x with
-    x S = 0 mod 2^N is congruent mod 2 to an integral kernel vector, and the
-    two spans mod 2 agree. At N = 1 they need not: for C2 acting trivially
-    on Z, S = (-2), the integral kernel is 0 and the one mod 2 is not.
-    """
-    d = len(group.generators())
-    m = mats[0].shape[0] if mats else 0
-    if d == 0 or m == 0:
-        return np.zeros((0, d * m), dtype=np.int64), {}
-    n = (group.order & -group.order).bit_length()
-    coeff, system = _schreier_walk(group, mats, modulus=1 << n)
-    return kernel_basis_modk(system, n) & 1, coeff
-
-
 # ---------------------------------------------------------------------------
 # Connecting image into mod-2 degree-two cohomology
 # ---------------------------------------------------------------------------
@@ -768,13 +725,19 @@ def cocycles_mod2(group: FiniteGroup, mats: List[np.ndarray]):
 
 def alpha_image(lat: GLattice) -> List[int]:
     """Invariant factors of the image of the connecting map taking degree-one
-    classes of the wedge square into degree-two mod-2 classes of the lattice.
+    classes of the wedge square W into degree-two mod-2 classes of L.
 
-    At cocycle level: lift a wedge-valued cocycle into the divided square
-    with zero diagonal part, apply the differential, and read the diagonal
-    spill. The spill of an integral cocycle mod 2 is linear in the cocycle
-    mod 2, so only the integral cocycles mod 2 are needed; cocycles_mod2
-    reads them off a kernel mod 2^N and says why that is exact.
+    At cocycle level: lift a W-valued cocycle z into the divided square with
+    zero diagonal part, apply the differential, and read the diagonal spill,
+    D_g z(h) mod 2 at (g, h) (_diag_block); it is linear in z mod 2.
+
+    Cocycles. With 2^k the two-part of |G| and v fixed mod 2^k, z_v(h) =
+    (A_h v - v) / 2^k is an integral cocycle. Summing the cocycle rule of any
+    z over G gives |G| z = delta u with u = -sum_g z(g), so u is fixed mod
+    2^k and an odd multiple of z is a sum of z_v's plus a coboundary. A
+    coboundary delta w spills a coboundary: the zero-diagonal lift of delta w
+    is delta(lift of w) minus the L/2-valued cochain h -> D_h w. So the image
+    is the span of the z_v's spills modulo the coboundaries.
     """
     if lat.mod2_mask is not None:
         raise IncompatibleOperands("connecting image needs a free lattice")
@@ -792,30 +755,37 @@ def alpha_image(lat: GLattice) -> List[int]:
     gens = group.generators()
     if m * len(gens) > 4000:
         raise BudgetExceeded(
-            f"cocycle system on the wedge square needs {m * len(gens)} "
-            "unknowns, over the 4000 budget")
-    lam_mats = [lam.matrix(s) for s in gens]
-    zrows, coeff = cocycles_mod2(group, lam_mats)
-    zmod = Subspace.span(zrows, m * len(gens))
-    if zmod.dim == 0:
-        return []
-    zbasis = zmod.basis.astype(np.float32)
-    nb = zbasis.shape[0]
-    # assemble the spills: the row block at pair (g, h) is D_g z(h), with
-    # z(h) = coeff[h] @ x read mod 2; float32 products are exact here
-    # (0/1 entries, sums below 2**24)
-    dall = np.concatenate([_diag_block(lat.matrix(g)).T.astype(np.float32)
-                           for g in range(n)], axis=1)
-    alpha = np.zeros((nb, n * n * ml), dtype=np.uint8)
+            f"fixed-point system on the wedge square has {m * len(gens)} "
+            "columns, over the 4000 budget")
+    two = n & -n
+    if two == 1:
+        return []    # odd order: degree-two classes mod 2 vanish
+    fixed, _ = _fixed_points_mod2k(n, [lam.matrix(s) for s in gens])
+    nb = fixed.shape[0]
+    # A_h acts on W by 2x2 minors: v as an antisymmetric X goes to A_h X A_h^T
+    i, j = _pair_arrays(ml)
+    x = np.zeros((nb, ml, ml), dtype=np.int64)
+    x[:, i, j] = fixed
+    x[:, j, i] = -fixed
+    # z_v mod 2 needs A_h v mod 2^(k+1): A_h enters reduced into [0, mod)
+    mod = 2 * two
+    if ml * ml * (mod - 1) ** 2 * (two - 1) >= 1 << 63:
+        raise BudgetExceeded("wedge action products would leave int64")
+    # float32 products of 0/1 entries are exact: sums stay below 2**24
+    dall = np.concatenate([_diag_block(lat.matrix(g)).T for g in range(n)],
+                          axis=1).astype(np.float32)
+    spills = np.zeros((nb, n, n, ml), dtype=np.uint8)    # (v, g, h, i)
     for h in range(n):
-        vals = (zbasis @ (coeff[h] & 1).T.astype(np.float32)) % 2
-        block = ((vals @ dall) % 2).astype(np.uint8)
-        br = block.reshape(nb, n, ml)
-        for g in range(n):
-            alpha[:, (g * n + h) * ml:(g * n + h + 1) * ml] = br[:, g]
+        a = lat.matrix(h) % mod
+        diff = ((a @ x) @ a.T)[:, i, j] - fixed
+        if (diff % two).any():
+            raise InternalInvariant("a row fixed mod 2^k moved mod 2^k")
+        z = ((diff // two) & 1).astype(np.float32)
+        spills[:, :, h] = ((z @ dall) % 2).reshape(nb, n, ml)
     cob = _coboundary_rows_mod2(group, lat)
     rank0 = GF2Matrix.from_dense(cob).rank()
-    both = GF2Matrix.from_dense(np.vstack([cob, alpha]))
+    both = GF2Matrix.from_dense(
+        np.vstack([cob, spills.reshape(nb, n * n * ml)]))
     return [2] * (both.rank() - rank0)
 
 

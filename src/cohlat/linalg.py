@@ -326,13 +326,6 @@ class GF2Matrix:
         _, pivots, _ = self.rref()
         return len(pivots)
 
-    def left_kernel(self) -> "GF2Matrix":
-        red, pivots, tm = self.rref(transform=True)
-        k = self.nrows - len(pivots)
-        ker = GF2Matrix(k, self.nrows, tm.words[len(pivots):].copy())
-        red2, _, _ = ker.rref()
-        return GF2Matrix(k, self.nrows, red2.words[:k])
-
 
 def gf2_rref_dense(arr: np.ndarray):
     g = GF2Matrix.from_dense(arr)
@@ -406,16 +399,6 @@ class Subspace:
             raise IncompatibleOperands("ambient dimensions differ")
         return Subspace.span(np.vstack([self.basis, other.basis]) if self.dim or other.dim
                              else np.zeros((0, self.ambient_dim)), self.ambient_dim)
-
-    def coordinates(self, v) -> Optional[np.ndarray]:
-        """Coefficients of v in the canonical basis, or None if outside."""
-        v = (np.asarray(v, dtype=np.int64) & 1).astype(np.uint8)
-        coords = v[self._pivots] if self.dim else np.zeros(0, dtype=np.uint8)
-        rem = v.copy()
-        for c, row in zip(coords, self.basis):
-            if c:
-                rem ^= row
-        return coords if not rem.any() else None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
@@ -624,10 +607,6 @@ class IntSolver:
 
     def contains(self, b) -> bool:
         return self.solve(b) is not None
-
-
-def int_solve(a, b) -> Optional[np.ndarray]:
-    return IntSolver(a).solve(b)
 
 
 def int_spans_equal(a, b) -> bool:

@@ -263,17 +263,9 @@ def restrict_complex(cx: GModuleComplex, sub: Subgroup) -> GModuleComplex:
         raise IncompatibleOperands("can only restrict a plain resolution")
     parent = cx.group
     hgrp, to_global = sub.as_group()
-    rreps = sub.right_coset_reps()
+    cosidx, hloc = sub.right_coset_table()
     n = parent.order
-    ncos = len(rreps)
-    cosidx = np.full(n, -1, dtype=np.int64)
-    hloc = np.full(n, -1, dtype=np.int64)
-    pos = {int(g): i for i, g in enumerate(to_global)}
-    for j, r in enumerate(rreps):
-        for hg in to_global:
-            x = int(parent.table[hg, r])
-            cosidx[x] = j
-            hloc[x] = pos[int(hg)]
+    ncos = sub.index
     out = GModuleComplex(hgrp, cx.k, amb_group=parent, act_map=to_global)
     for i in range(cx.top_degree + 1):
         amb_elt = np.tile(np.arange(n, dtype=np.int64), cx.ranks[i])

@@ -225,19 +225,23 @@ def test_cosets_partition():
 @pytest.mark.parametrize("name", ["D8", "sz8-sylow"])
 def test_coset_table_matches_the_coset_loop(name):
     # one table gives each element's coset and position in H; the
-    # representatives are those of the first-unseen-element loop
+    # representatives are those of the first-unseen-element loop, for left
+    # cosets rH and for right cosets Hr
     g = builtin_group(name)
     for h in subgroup_classes(g):
-        seen = np.zeros(g.order, dtype=bool)
-        reps = []
-        for x in range(g.order):
-            if not seen[x]:
-                reps.append(x)
-                seen[g.table[x, h.elements]] = True
-        assert h.coset_reps().tolist() == reps
-        coset, pos = h.coset_table()
-        for x in range(g.order):
-            assert g.mul(reps[coset[x]], int(h.elements[pos[x]])) == x
+        sides = [(lambda r, x: g.mul(r, x), h.coset_table(), h.coset_reps()),
+                 (lambda r, x: g.mul(x, r), h.right_coset_table(),
+                  h.right_coset_reps())]
+        for mul, (coset, pos), got_reps in sides:
+            seen = np.zeros(g.order, dtype=bool)
+            reps = []
+            for x in range(g.order):
+                if not seen[x]:
+                    reps.append(x)
+                    seen[[mul(x, int(e)) for e in h.elements]] = True
+            assert got_reps.tolist() == reps
+            for x in range(g.order):
+                assert mul(reps[coset[x]], int(h.elements[pos[x]])) == x
 
 
 def test_as_group_is_valid_group():

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from cohlat.errors import (BudgetExceeded, CoflasquenessCheckFailed,
-                           IncompatibleOperands, NotRankOneKernel,
-                           ValidationError)
+                           IncompatibleOperands, InternalInvariant,
+                           NotRankOneKernel, ValidationError)
 from cohlat.groups import (Subgroup, builtin_group, cyclic_group,
                            dihedral_group, subgroup_classes)
-from cohlat.lattices import (GLattice, LatticeSES, _diag_block,
-                             _product_perm, _schreier_walk, _wedge_matrix,
-                             alpha_image, build_mnq, builtin_lattice,
-                             cocycles_mod2, coflasque_resolution, direct_sum,
+from cohlat import lattices
+from cohlat.lattices import (GLattice, LatticeSES, _coboundary_rows_mod2,
+                             _diag_block, _product_perm, _schreier_walk,
+                             _wedge_matrix, alpha_image, build_mnq,
+                             builtin_lattice, coflasque_resolution, direct_sum,
                              exterior_of_rank_one_extension, exterior_ses,
                              gamma2, h1_integral, induced_sign_lattice,
                              integral_cocycles, lambda2,
@@ -20,7 +21,7 @@ from cohlat.lattices import (GLattice, LatticeSES, _diag_block,
                              mod2_reduction, permutation_splitting, phi,
                              pullback_lattice, two_slot_extension,
                              wedge_coords)
-from cohlat.linalg import (Subspace, invariant_factors,
+from cohlat.linalg import (GF2Matrix, invariant_factors, kernel_basis_modk,
                            quotient_invariant_factors, row_hnf)
 
 
@@ -403,28 +404,6 @@ def _mod2_cocycle_cases(g):
     return base + wedges
 
 
-@pytest.mark.parametrize("name", ["C2", "C4", "V4", "C8", "C4xC2",
-                                  "C2xC2xC2", "D4", "Q8"])
-def test_cocycles_mod2_match_the_integral_cocycles(name):
-    # the mod-2^N kernel read mod 2 spans what the integer kernel reduces to;
-    # C2 acting trivially on Z^2 has no integral cocycles but nonzero ones
-    # mod 2, so a kernel taken only mod 2 fails here
-    g = builtin_group(name)
-    for lat in _mod2_cocycle_cases(g):
-        mats = [lat.matrix(s) for s in g.generators()]
-        width = len(mats) * lat.rank
-        zrows, expand = integral_cocycles(g, mats)
-        rows, coeff = cocycles_mod2(g, mats)
-        assert rows.shape[1] == width
-        assert Subspace.span(rows, width) == \
-            Subspace.span(zrows % 2, width), lat.name
-        # the coefficient blocks give every cocycle's values mod 2
-        for z in zrows:
-            table = expand(z) % 2
-            for h in range(g.order):
-                assert np.array_equal((coeff[h] @ z) % 2, table[h])
-
-
 # -- the spanning-tree walks against the breadth-first walks they replaced --
 
 SMALL_BUILTINS = ["C2", "C4", "C8", "C16", "V4", "C4xC2", "C2xC2xC2",
@@ -504,17 +483,15 @@ def test_lattice_matrices_match_the_bfs_words(name):
 @pytest.mark.parametrize("name", SMALL_BUILTINS)
 def test_schreier_walk_matches_the_bfs_walk(name):
     g = builtin_group(name)
-    n = (g.order & -g.order).bit_length()
     for lat in _tree_cases(g):
         mats = [lat.matrix(s) for s in g.generators()]
-        for modulus in (None, 1 << n):
-            coeff, system = _schreier_walk(g, mats, modulus)
-            want_coeff, want_system = _schreier_reference(g, mats, modulus)
-            assert system.dtype == np.int64
-            assert np.array_equal(system, want_system), (lat.name, modulus)
-            assert list(coeff) == list(want_coeff)
-            for x in want_coeff:
-                assert np.array_equal(coeff[x], want_coeff[x])
+        coeff, system = _schreier_walk(g, mats)
+        want_coeff, want_system = _schreier_reference(g, mats)
+        assert system.dtype == np.int64
+        assert np.array_equal(system, want_system), lat.name
+        assert list(coeff) == list(want_coeff)
+        for x in want_coeff:
+            assert np.array_equal(coeff[x], want_coeff[x])
 
 
 def _character_reference(group):
@@ -600,6 +577,75 @@ def test_alpha_vanishes_for_split_inputs():
 
 def test_alpha_rank_one_is_empty():
     assert alpha_image(GLattice.trivial(builtin_group("C2"))) == []
+
+
+def _alpha_by_mod2_cocycles(lat):
+    """The connecting image by the former route: integral cocycles of the
+    wedge square read mod 2 off the Schreier system mod 2^(v2|G|+1), and
+    their spills D_g z(h) at every pair of elements."""
+    g = lat.group
+    n = g.order
+    lam = lambda2(lat)
+    if lam.rank == 0:
+        return []
+    k = (n & -n).bit_length()
+    coeff, system = _schreier_reference(
+        g, [lam.matrix(s) for s in g.generators()], 1 << k)
+    # float32 products of 0/1 entries are exact: sums stay below 2**24
+    zrows = (kernel_basis_modk(system, k) & 1).astype(np.float32)
+    vals = np.stack([zrows @ (coeff[h] & 1).T.astype(np.float32) % 2
+                     for h in range(n)])
+    diag = np.stack([_diag_block(lat.matrix(x)) for x in range(n)])
+    spills = (np.einsum("gim,hzm->zghi", diag.astype(np.float32), vals)
+              % 2).astype(np.uint8)
+    cob = _coboundary_rows_mod2(g, lat)
+    rank0 = GF2Matrix.from_dense(cob).rank()
+    both = np.vstack([cob, spills.reshape(len(zrows), n * n * lat.rank)])
+    return [2] * (GF2Matrix.from_dense(both).rank() - rank0)
+
+
+@pytest.mark.parametrize("name", ["C2", "C4", "V4", "C8", "C4xC2",
+                                  "C2xC2xC2", "D4", "Q8"])
+def test_alpha_matches_the_mod2_cocycle_route(name):
+    # the fixed points mod |G| against the full cocycle system mod 2|G|, on
+    # the lattices above less M at order 8 (the former route took 1.6 to 165
+    # s there), the sign lattice, and phi's coflasque kernels up to order 4
+    g = builtin_group(name)
+    lats = [lat for lat in _mod2_cocycle_cases(g)
+            if g.order < 8 or lat.name != "marginal-quotient"]
+    lats.append(GLattice.sign_lattice(g))
+    if g.order <= 4:
+        lats.append(coflasque_resolution(builtin_lattice("M", g))
+                    .kernel_lattice)
+    for lat in lats:
+        assert alpha_image(lat) == _alpha_by_mod2_cocycles(lat), lat.name
+
+
+def test_alpha_vanishes_at_odd_order():
+    c3 = cyclic_group(3)
+    for lat in (GLattice.regular(c3), GLattice.trivial(c3, 3)):
+        assert alpha_image(lat) == _alpha_by_mod2_cocycles(lat) == []
+
+
+@pytest.mark.parametrize("name,expect", [("C4xC2", [2, 2]), ("D4", [2, 2]),
+                                         ("C2xC2xC2", [2] * 8)])
+def test_alpha_on_marginal_quotients_of_order_8(name, expect):
+    assert alpha_image(builtin_lattice("M", builtin_group(name))) == expect
+
+
+def test_alpha_rejects_a_row_that_is_not_fixed(monkeypatch):
+    # a row fixed mod |G| by construction; a corrupted one must raise
+    lat = builtin_lattice("M", builtin_group("V4"))
+    real = lattices._fixed_points_mod2k
+
+    def corrupted(order, mats):
+        rows, system = real(order, mats)
+        rows = rows.copy()
+        rows[0, 0] += 1
+        return rows, system
+    monkeypatch.setattr(lattices, "_fixed_points_mod2k", corrupted)
+    with pytest.raises(InternalInvariant):
+        alpha_image(lat)
 
 
 def test_alpha_budgets():

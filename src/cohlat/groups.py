@@ -112,12 +112,12 @@ class FiniteGroup:
             gens = _pgroup_min_generators(self, p)
         else:
             gens = []
-            cl = {0}
-            while len(cl) < self.order:
-                best = max((g for g in range(self.order) if g not in cl),
+            cl = _generated(self, gens)
+            while cl.size < self.order:
+                best = max(np.setdiff1d(np.arange(self.order), cl).tolist(),
                            key=lambda g: (int(self.element_orders[g]), -g))
                 gens.append(best)
-                cl = closure(self, gens)
+                cl = _generated(self, gens)
         self._gens = tuple(gens)
         return list(gens)
 
@@ -200,51 +200,48 @@ def _pgroup_min_generators(group: FiniteGroup, p: int) -> List[int]:
     For a p-group the Frattini subgroup is generated by p-th powers and
     commutators, and any lift of a basis of the quotient generates G.
     """
-    t, inv = group.table, group.inv
-    seed = set()
-    for g in range(group.order):
-        x = g
-        for _ in range(p - 1):
-            x = int(t[x, g])
-        seed.add(x)
-    for a in range(group.order):
-        row = t[t[t[inv[a], inv], a], np.arange(group.order)]
-        seed.update(int(x) for x in row)
-    phi = closure(group, seed)
-    quot, coset_of = quotient_group(group, sorted(phi))
+    x = np.arange(group.order)
+    powers = x
+    for _ in range(p - 1):
+        powers = group.table[powers, x]
+    phi = _generated(group, np.concatenate([powers, _commutators(group)]))
+    quot, coset_of = quotient_group(group, phi)
     chosen: List[int] = []
-    span = {0}
+    span = _generated(quot, chosen)
     for q in range(1, quot.order):
         if q not in span:
             chosen.append(q)
-            span = closure(quot, chosen)
-            if len(span) == quot.order:
+            span = _generated(quot, chosen)
+            if span.size == quot.order:
                 break
     reps = {int(coset_of[g]): g for g in range(group.order - 1, -1, -1)}
     return [reps[q] for q in chosen]
 
 
+def _generated(group: FiniteGroup, seed: Sequence[int]) -> np.ndarray:
+    """Sorted elements of the subgroup generated by the seed elements.
+
+    Breadth-first over a membership mask: each round multiplies the whole
+    frontier by the seed on the right and keeps the products not yet
+    reached.
+    """
+    t = group.table
+    mask = np.zeros(group.order, dtype=bool)
+    mask[0] = True
+    mask[np.asarray(seed, dtype=np.int64)] = True
+    gens = frontier = mask.nonzero()[0]
+    while frontier.size:
+        fresh = np.zeros(group.order, dtype=bool)
+        fresh[t[frontier[:, None], gens]] = True
+        fresh &= ~mask
+        mask |= fresh
+        frontier = fresh.nonzero()[0]
+    return mask.nonzero()[0]
+
+
 def closure(group: FiniteGroup, seed: Iterable[int]) -> set:
     """Subgroup generated by the seed elements."""
-    t = group.table
-    got = {0}
-    frontier = [0]
-    seed = [int(s) for s in seed]
-    for s in seed:
-        if s not in got:
-            got.add(s)
-            frontier.append(s)
-    while frontier:
-        nxt = []
-        members = np.fromiter(got, dtype=np.int64)
-        for f in frontier:
-            for p in t[f, members]:
-                p = int(p)
-                if p not in got:
-                    got.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return got
+    return set(_generated(group, [int(s) for s in seed]).tolist())
 
 
 class Subgroup:
@@ -321,9 +318,9 @@ class Subgroup:
         """The subgroup as a standalone group plus local->global element map."""
         if self._as_group is None:
             to_global = self.elements
-            pos = {int(g): i for i, g in enumerate(to_global)}
-            sub = self.parent.table[np.ix_(to_global, to_global)]
-            local = np.array([[pos[int(x)] for x in row] for row in sub], dtype=np.int64)
+            pos = np.full(self.parent.order, -1, dtype=np.int64)
+            pos[to_global] = np.arange(self.order)
+            local = pos[self.parent.table[np.ix_(to_global, to_global)]]
             grp = FiniteGroup(local, name=f"sub{self.order}", validate=False)
             self._as_group = (grp, to_global)
         return self._as_group
@@ -358,33 +355,37 @@ def subgroup_classes(group: FiniteGroup, cap: int = 10000) -> List[Subgroup]:
     against every cyclic subgroup, dedupe by canonical conjugate key. Each
     representative is the lexicographically smallest member of its class.
     """
-    cyclics = {}
-    for g in range(group.order):
-        c = tuple(sorted(closure(group, [g])))
-        cyclics.setdefault(c, None)
-    cyclic_sets = [np.array(c, dtype=np.int64) for c in sorted(cyclics)]
-
+    n = group.order
+    masks = {}  # membership masks of the distinct cyclic subgroups
+    for g in range(n):
+        mask = np.zeros(n, dtype=bool)
+        mask[_generated(group, [g])] = True
+        masks.setdefault(mask.tobytes(), mask)
+    cyclics = np.array(list(masks.values()))
     reps: Dict[Tuple[int, ...], np.ndarray] = {}
-    for c in cyclic_sets:
-        key = _conjugacy_key(group, c)
-        if key not in reps:
-            reps[key] = np.array(key, dtype=np.int64)
+    for c in cyclics:
+        key = _conjugacy_key(group, np.flatnonzero(c))
+        reps.setdefault(key, np.array(key, dtype=np.int64))
+    # a join already seen has its class in reps
+    seen = set()
     layer = list(reps.values())
     while layer:
         new = []
         for h in layer:
-            hset = set(int(x) for x in h)
-            for c in cyclic_sets:
-                if set(int(x) for x in c) <= hset:
+            inside = np.zeros(n, dtype=bool)
+            inside[h] = True
+            outside = (cyclics & ~inside).any(axis=1)
+            for c in cyclics[outside]:
+                j = _generated(group, np.flatnonzero(inside | c))
+                if j.tobytes() in seen:
                     continue
-                j = closure(group, list(h) + list(c))
-                key = _conjugacy_key(group, np.fromiter(j, dtype=np.int64))
+                seen.add(j.tobytes())
+                key = _conjugacy_key(group, j)
                 if key not in reps:
                     if len(reps) >= cap:
                         raise BudgetExceeded(f"more than {cap} subgroup classes")
-                    arr = np.array(key, dtype=np.int64)
-                    reps[key] = arr
-                    new.append(arr)
+                    reps[key] = np.array(key, dtype=np.int64)
+                    new.append(reps[key])
         layer = new
     out = [Subgroup(group, els, check=False) for els in reps.values()]
     out.sort(key=lambda s: (s.order, s.key()))
@@ -415,13 +416,15 @@ def quotient_group(group: FiniteGroup, normal_elements: Sequence[int]):
     return FiniteGroup(qt, name=f"{group.name}/N" if group.name else "quotient"), coset_of
 
 
-def commutator_subgroup(group: FiniteGroup) -> set:
+def _commutators(group: FiniteGroup) -> np.ndarray:
+    """Every commutator a^-1 b^-1 a b, flattened over (a, b)."""
     t, inv = group.table, group.inv
-    comms = set()
-    for a in range(group.order):
-        for b in range(group.order):
-            comms.add(int(t[t[t[inv[a], inv[b]], a], b]))
-    return closure(group, comms)
+    x = np.arange(group.order)
+    return t[t[t[inv[:, None], inv[None, :]], x[:, None]], x[None, :]].ravel()
+
+
+def commutator_subgroup(group: FiniteGroup) -> set:
+    return set(_generated(group, _commutators(group)).tolist())
 
 
 def abelianization(group: FiniteGroup) -> List[int]:

@@ -50,7 +50,7 @@ class GModuleComplex:
         self.coord_gen: List[np.ndarray] = []
         self.coord_elt: List[np.ndarray] = []
         self.coord_index: List[np.ndarray] = []  # (rank, |H|) -> coordinate
-        self._perms: Dict[Tuple[int, int], np.ndarray] = {}
+        self._actions: Dict[int, np.ndarray] = {}
         self._solvers: Dict[int, ModKSolver] = {}
         self._reduced: Dict[int, "GModuleComplex"] = {}
         self._lock = threading.Lock()
@@ -90,21 +90,21 @@ class GModuleComplex:
         coord_elt = np.tile(np.arange(n, dtype=np.int64), rank)
         self.add_degree(coord_gen, coord_elt, boundary)
 
-    def perm(self, degree: int, g_local: int) -> np.ndarray:
-        """Coordinate permutation of the action: P[c] = index of g . c."""
-        key = (degree, g_local)
-        p = self._perms.get(key)
-        if p is None:
-            t = self.group.table
-            moved = t[g_local, self.coord_elt[degree]]
-            p = self.coord_index[degree][self.coord_gen[degree], moved]
-            self._perms[key] = p
-        return p
+    def action_table(self, degree: int) -> np.ndarray:
+        """Gathers of the action, one row per element: (g . v)[c] is
+        v[table[g, c]], the coordinate of g^-1 . c."""
+        table = self._actions.get(degree)
+        if table is None:
+            moved = self.group.table[self.group.inv[:, None],
+                                     self.coord_elt[degree]]
+            table = self.coord_index[degree][self.coord_gen[degree], moved]
+            self._actions[degree] = table
+        return table
 
     def act(self, degree: int, g_local: int, rows: np.ndarray) -> np.ndarray:
         """g . v for row vectors in degree `degree` coordinates."""
-        gi = int(self.group.inv[g_local])
-        return np.ascontiguousarray(rows[..., self.perm(degree, gi)])
+        gather = self.action_table(degree)[g_local]
+        return np.ascontiguousarray(rows[..., gather])
 
     def extend_rows(self, degree: int, gen_rows: np.ndarray,
                     dst: "GModuleComplex", dst_degree: int) -> np.ndarray:
@@ -116,15 +116,14 @@ class GModuleComplex:
         """
         if dst.group is not self.group and dst.group != self.group:
             raise IncompatibleOperands("acting groups differ")
-        out = np.zeros((self.dims[degree], dst.dims[dst_degree]),
+        gen_rows = np.asarray(gen_rows) % self.mod
+        table = dst.action_table(dst_degree)
+        out = np.empty((self.dims[degree], dst.dims[dst_degree]),
                        dtype=np.int64)
-        cg, ce = self.coord_gen[degree], self.coord_elt[degree]
-        for g in range(self.group.order):
-            rows = np.nonzero(ce == g)[0]
-            if rows.size:
-                gather = dst.perm(dst_degree, int(self.group.inv[g]))
-                out[rows] = gen_rows[cg[rows]][:, gather]
-        return out % self.mod
+        # the coordinate of g . (generator s) takes g . gen_rows[s]
+        for s, coords in enumerate(self.coord_index[degree]):
+            out[coords] = gen_rows[s][table]
+        return out
 
     def boundary_solver(self, degree: int) -> ModKSolver:
         with self._lock:

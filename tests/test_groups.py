@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 
 from cohlat.errors import IdentityNotZero, NotAGroup, ValidationError
-from cohlat.groups import (FiniteGroup, Subgroup, _conjugacy_key,
-                           abelianization, builtin_group, closure,
-                           commutator_subgroup, cyclic_group, dihedral_group,
-                           direct_product, group_from_json, load_group,
-                           quaternion_group, quotient_group, subgroup_classes,
-                           sylow2_sz8)
+from cohlat.groups import (BUILTIN_GROUPS, FiniteGroup, Subgroup,
+                           _conjugacy_key, abelianization, builtin_group,
+                           closure, commutator_subgroup, cyclic_group,
+                           dihedral_group, direct_product, group_from_json,
+                           load_group, quaternion_group, quotient_group,
+                           subgroup_classes, sylow2_sz8)
 
 
 # --- independent oracle helpers (no library code) ---
@@ -124,6 +124,63 @@ def test_generators_generate():
         assert len(gens) == rank
 
 
+
+SMALL_BUILTINS = [n for n in BUILTIN_GROUPS if builtin_group(n).order <= 16]
+NON_P_GROUPS = [cyclic_group(6), dihedral_group(6), dihedral_group(12),
+                direct_product(cyclic_group(2), cyclic_group(6))]
+
+
+@pytest.mark.parametrize("name", SMALL_BUILTINS)
+def test_closure_matches_oracle_on_random_seeds(name):
+    g = builtin_group(name)
+    table = g.table.tolist()
+    rng = np.random.default_rng(g.order)
+    for size in (0, 1, 1, 2, 2, 3):
+        for _ in range(4):
+            seed = rng.integers(0, g.order, size).tolist()
+            assert closure(g, seed) == _oracle_closure(table, seed)
+
+
+def _set_generators(g):
+    """generators() on Python sets: a lift of a basis of the Frattini
+    quotient for p-groups, largest element orders first otherwise."""
+    t, inv, n = g.table.tolist(), g.inv.tolist(), g.order
+    primes = [q for q in range(2, n + 1)
+              if n % q == 0 and all(q % r for r in range(2, q))]
+    if len(primes) > 1:
+        gens, got = [], {0}
+        while len(got) < n:
+            gens.append(max((x for x in range(n) if x not in got),
+                            key=lambda x: (int(g.element_orders[x]), -x)))
+            got = _oracle_closure(t, gens)
+        return gens
+    seed = {t[t[t[inv[a]][inv[b]]][a]][b] for a in range(n) for b in range(n)}
+    for x in range(n):
+        y = x
+        for _ in range(primes[0] - 1):
+            y = t[y][x]
+        seed.add(y)
+    quot, coset_of = quotient_group(g, sorted(_oracle_closure(t, seed)))
+    chosen, span = [], {0}
+    for q in range(1, quot.order):
+        if q not in span:
+            chosen.append(q)
+            span = _oracle_closure(quot.table.tolist(), chosen)
+            if len(span) == quot.order:
+                break
+    reps = {int(coset_of[x]): x for x in range(n - 1, -1, -1)}
+    return [reps[q] for q in chosen]
+
+
+@pytest.mark.parametrize("g", [builtin_group(n) for n in BUILTIN_GROUPS]
+                         + NON_P_GROUPS, ids=lambda g: g.name)
+def test_generators_and_commutators_match_set_reference(g):
+    table = g.table.tolist()
+    assert g.generators() == _set_generators(g)
+    comms = {table[table[table[int(g.inv[a])][int(g.inv[b])]][a]][b]
+             for a in range(g.order) for b in range(g.order)}
+    assert commutator_subgroup(g) == _oracle_closure(table, comms)
+
 # --- the order-64 headline group ---
 
 def test_sz8_structure():
@@ -192,6 +249,74 @@ def test_subgroup_class_counts_frozen():
     assert len(subgroup_classes(builtin_group("D4"))) == 8
     assert len(subgroup_classes(builtin_group("Q8"))) == 6
 
+
+
+def _set_subgroup_classes(group):
+    """subgroup_classes on Python sets: every class representative joined
+    with every cyclic subgroup not inside it, one closure per join."""
+    t = group.table
+
+    def set_closure(seed):
+        got = {0} | set(seed)
+        frontier = list(got)
+        while frontier:
+            members, nxt = list(got), []
+            for f in frontier:
+                for p in t[f, members].tolist():
+                    if p not in got:
+                        got.add(p)
+                        nxt.append(p)
+            frontier = nxt
+        return got
+
+    cyclics = sorted({tuple(sorted(set_closure([g])))
+                      for g in range(group.order)})
+    reps = {}
+    for c in cyclics:
+        reps.setdefault(_conjugacy_key(group, np.array(c)), None)
+    layer = list(reps)
+    while layer:
+        new = []
+        for h in layer:
+            for c in cyclics:
+                if set(c) <= set(h):
+                    continue
+                j = np.array(sorted(set_closure(list(h) + list(c))))
+                key = _conjugacy_key(group, j)
+                if key not in reps:
+                    reps[key] = None
+                    new.append(key)
+        layer = new
+    return sorted(reps, key=lambda k: (len(k), k))
+
+
+def _relabelled_sz8():
+    # a fixed relabelling that keeps the identity at 0
+    perm = np.zeros(64, dtype=np.int64)
+    perm[1:] = 1 + (5 * np.arange(63)) % 63
+    t = sylow2_sz8().table
+    out = np.empty_like(t)
+    out[np.ix_(perm, perm)] = perm[t]
+    return FiniteGroup(out, name="sz8-relabelled")
+
+
+@pytest.mark.parametrize("make", [
+    sylow2_sz8,
+    lambda: direct_product(cyclic_group(2), dihedral_group(16)),
+    _relabelled_sz8,
+], ids=["sz8-sylow", "C2xD8", "sz8-relabelled"])
+def test_subgroup_classes_match_set_reference(make):
+    g = make()
+    assert [s.key() for s in subgroup_classes(g)] == _set_subgroup_classes(g)
+
+
+def test_order_128_subgroup_class_counts():
+    # C2 x sz8-sylow, pinned from the set-based reference (about 10 s)
+    g = direct_product(cyclic_group(2), sylow2_sz8())
+    orders = [s.order for s in subgroup_classes(g)]
+    assert len(orders) == 258
+    assert {o: orders.count(o) for o in set(orders)} == {
+        1: 1, 2: 15, 4: 49, 8: 85, 16: 57, 32: 35, 64: 15, 128: 1}
 
 # --- subgroup mechanics ---
 

@@ -5,7 +5,7 @@ import pytest
 from collections import OrderedDict
 
 from cohlat import resolution
-from cohlat.cohomology import default_modulus_exp
+from cohlat.cohomology import _shifted_view, default_modulus_exp
 from cohlat.errors import BudgetExceeded, InternalInvariant
 from cohlat.groups import Subgroup, builtin_group, direct_product, subgroup_classes
 from cohlat.linalg import GF2Matrix, howell_form, kernel_basis_modk
@@ -249,3 +249,53 @@ def test_resolution_cache_evicts_least_recently_used(monkeypatch):
     assert rebuilt.ranks == first.ranks
     for a, b in zip(rebuilt.boundaries[1:], first.boundaries[1:]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _loop_extend_rows(src, degree, gen_rows, dst, dst_degree):
+    """extend_rows as one row block per element g, gathered through the
+    coordinate permutation c -> g^-1 . c built for that element."""
+    t, inv = dst.group.table, dst.group.inv
+    out = np.zeros((src.dims[degree], dst.dims[dst_degree]), dtype=np.int64)
+    cg, ce = src.coord_gen[degree], src.coord_elt[degree]
+    for g in range(src.group.order):
+        rows = np.nonzero(ce == g)[0]
+        moved = t[inv[g], dst.coord_elt[dst_degree]]
+        gather = dst.coord_index[dst_degree][dst.coord_gen[dst_degree], moved]
+        out[rows] = gen_rows[cg[rows]][:, gather]
+    return out % src.mod
+
+
+def _check_extend_rows(src, dst, degree_pairs, rng):
+    for degree, dst_degree in degree_pairs:
+        gen_rows = rng.integers(-src.mod, 2 * src.mod,
+                                (src.ranks[degree], dst.dims[dst_degree]))
+        got = src.extend_rows(degree, gen_rows, dst, dst_degree)
+        assert got.dtype == np.int64
+        assert np.array_equal(
+            got, _loop_extend_rows(src, degree, gen_rows, dst, dst_degree))
+
+
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("group", [
+    builtin_group("D8"),
+    direct_product(builtin_group("C2"), builtin_group("D8"), "C2xD8"),
+    builtin_group("sz8-sylow"),
+], ids=["D8", "C2xD8", "sz8-sylow"])
+def test_extend_rows_matches_the_per_element_loop(group, k):
+    cx = minimal_resolution(group, k, 3)
+    rng = np.random.default_rng(k)
+    down = [(i, i - 1) for i in range(1, 4)]
+    _check_extend_rows(cx, cx, down, rng)
+    # each boundary is the extension of its generator rows
+    for i in range(1, 4):
+        gen_rows = cx.boundaries[i][cx.gen_coords(i)]
+        assert np.array_equal(cx.extend_rows(i, gen_rows, cx, i - 1),
+                              cx.boundaries[i])
+    classes = subgroup_classes(group)
+    for order in (group.order // 2, 4):
+        rcx = restrict_complex(cx, next(s for s in classes if s.order == order))
+        _check_extend_rows(rcx, rcx, down, rng)
+    # the one-degree views the cochain lifts extend from
+    for degree, dst_degree in [(1, 0), (2, 1), (3, 0), (3, 2)]:
+        _check_extend_rows(_shifted_view(cx, degree), cx, [(0, dst_degree)],
+                           rng)

@@ -17,9 +17,10 @@ from .errors import (BudgetExceeded, DegreeOutOfRange, IncompatibleOperands,
 from .groups import FiniteGroup, Subgroup
 from .linalg import (Subspace, kernel_basis_modk,
                      modk_quotient_invariant_factors)
-from .resolution import (GModuleComplex, diagonal_approximation,
-                         extend_resolution, lift_chain_map,
-                         minimal_resolution, reduce_complex, restrict_complex)
+from .resolution import (MAX_RESOLUTION_DEGREE, GModuleComplex,
+                         diagonal_approximation, extend_resolution,
+                         lift_chain_map, minimal_resolution, reduce_complex,
+                         restrict_complex)
 
 
 def default_modulus_exp(group: FiniteGroup) -> int:
@@ -30,7 +31,11 @@ def default_modulus_exp(group: FiniteGroup) -> int:
 
 
 class GroupCohomology:
-    """Cohomology of one finite 2-group, computed to a fixed degree."""
+    """Cohomology of one finite 2-group up to a fixed degree.
+
+    `max_degree` is a validated ceiling, not a work order: the resolution
+    is deepened on demand to the degree each reader needs.
+    """
 
     def __init__(self, group: FiniteGroup, max_degree: int,
                  modulus_exp: Optional[int] = None):
@@ -44,13 +49,17 @@ class GroupCohomology:
             raise ModulusTooSmall(
                 f"need modulus exponent >= {default_modulus_exp(group)} "
                 f"for order {group.order}")
-        self.res = minimal_resolution(group, self.k, max_degree)
+        if max_degree > MAX_RESOLUTION_DEGREE:
+            raise BudgetExceeded(
+                f"resolution degree {max_degree} > {MAX_RESOLUTION_DEGREE}")
+        self.res = minimal_resolution(group, self.k, 0)
         self.res2 = reduce_complex(self.res, 1)
         self._deltas: Dict[Tuple[int, int], np.ndarray] = {}
 
     @property
     def dims(self) -> List[int]:
         """dim H^i(G, F2) for i = 0..max_degree."""
+        self._reach(self.max_degree)
         return list(self.res.ranks[: self.max_degree + 1])
 
     def h_dim(self, degree: int) -> int:
@@ -58,9 +67,17 @@ class GroupCohomology:
         return self.res.ranks[degree]
 
     def _check_degree(self, degree: int, slack: int = 0):
+        """Validate a read of degree..degree+slack and build up to it."""
         if not 0 <= degree <= self.max_degree - slack:
             raise DegreeOutOfRange(
                 f"degree {degree} outside 0..{self.max_degree - slack}")
+        self._reach(degree + slack)
+
+    def _reach(self, degree: int):
+        """Deepen res, and with it res2, in place to at least `degree`."""
+        if self.res2.top_degree < degree:
+            extend_resolution(self.res, degree)
+            reduce_complex(self.res, 1)  # extends self.res2 in place
 
     def delta(self, degree: int, m_exp: int) -> np.ndarray:
         """Cochain differential matrix: delta(phi) = phi @ delta."""
@@ -89,14 +106,13 @@ class GroupCohomology:
         self._check_degree(degree)
         if m_exp > self.k:
             raise ModulusTooSmall("coefficient modulus exceeds the resolution")
-        if degree == self.max_degree and m_exp == 1:
+        if m_exp == 1:
             # minimality: the outgoing differential vanishes mod 2
             ker = np.eye(self.res.ranks[degree], dtype=np.int64)
         else:
-            if degree == self.max_degree:
-                # above modulus 2 the outgoing differential matters, so the
-                # resolution is deepened one step to expose it
-                extend_resolution(self.res, degree + 1)
+            # above modulus 2 the outgoing differential matters; at the top
+            # degree this deepens the resolution one step past max_degree
+            self._reach(degree + 1)
             ker = kernel_basis_modk(self._delta_matrix(degree, m_exp), m_exp)
         if degree == 0:
             im = np.zeros((0, self.res.ranks[0]), dtype=np.int64)
@@ -113,7 +129,9 @@ class GroupCohomology:
         c[0] sends each degree-`degree` generator to vec[s] times the
         augmentation generator; the block augmentation of c[0] is vec again.
         """
-        self._check_degree(degree)
+        if steps < 0:
+            raise DegreeOutOfRange(f"negative lift length {steps}")
+        self._check_degree(degree, slack=steps)
         res2 = self.res2
         start = np.zeros((res2.ranks[degree], res2.dims[0]), dtype=np.int64)
         start[:, res2.gen_coords(0)[0]] = np.asarray(vec) % 2
@@ -254,6 +272,10 @@ class SubgroupLink:
         hgrp, self.to_global = sub.as_group()
         self.hco = GroupCohomology(hgrp, self.max_degree,
                                    modulus_exp=parent.k)
+        # the lifts read both complexes to max_degree, and the restricted
+        # complex is a snapshot of the parent's, so both are built first
+        parent._reach(self.max_degree)
+        self.hco._reach(self.max_degree)
         self.ph2 = restrict_complex(parent.res2, sub)
         q2 = self.hco.res2
         # the chain maps are mod 2, so they are held as bytes

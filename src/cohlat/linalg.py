@@ -71,20 +71,36 @@ class HowellForm:
         return res[0] if one else res
 
 
+def _word(k: int):
+    return np.uint8 if k <= 8 else np.uint16
+
+
+def _store_modk(dst: np.ndarray, a: np.ndarray, k: int):
+    """dst[...] = a mod 2^k, for dst of the word type of k.
+
+    Casting an integer to the word keeps its low bits, and 2^k divides the
+    word modulus, so integer input needs no int64 copy on the way.
+    """
+    if a.dtype.kind not in "iu":
+        a = a.astype(np.int64)
+    dst[...] = a
+    dst &= (1 << k) - 1
+
+
 def howell_form(a: np.ndarray, k: int, transform: bool = False) -> HowellForm:
     """Canonical Howell form of integer matrix `a` taken mod 2^k."""
     if not 1 <= k <= MAX_MOD_EXP:
         raise IncompatibleOperands(f"modulus exponent {k} outside 1..{MAX_MOD_EXP}")
     mask = (1 << k) - 1
-    word = np.uint8 if k <= 8 else np.uint16
-    a = np.asarray(a, dtype=np.int64)
+    word = _word(k)
+    a = np.asarray(a)
     if a.ndim != 2:
         raise IncompatibleOperands("expected a 2-D matrix")
     nrows, ncols = a.shape
     # room for shadow rows; grown on demand
     cap = nrows + 8
     work = np.zeros((cap, ncols), dtype=word)
-    work[:nrows] = a & mask
+    _store_modk(work[:nrows], a, k)
     tmat = None
     if transform:
         tmat = np.zeros((cap, nrows), dtype=word)
@@ -219,11 +235,12 @@ class ModKSolver:
 
 def kernel_basis_modk(mat: np.ndarray, k: int) -> np.ndarray:
     """Howell basis of {x : x @ mat = 0 mod 2^k}."""
-    mat = np.asarray(mat, dtype=np.int64)
+    mat = np.asarray(mat)
     nrows, ncols = mat.shape
-    aug = np.zeros((nrows, ncols + nrows), dtype=np.int64)
-    aug[:, :ncols] = mat
-    aug[:, ncols:] = np.eye(nrows, dtype=np.int64)
+    # [mat | I] mod 2^k, built in the word howell_form eliminates on
+    aug = np.zeros((nrows, ncols + nrows), dtype=_word(k))
+    _store_modk(aug[:, :ncols], mat, k)
+    aug[np.arange(nrows), ncols + np.arange(nrows)] = 1
     hf = howell_form(aug, k)
     lead = [i for i, (c, _) in enumerate(hf.pivots) if c >= ncols]
     if not lead:
@@ -293,13 +310,20 @@ class GF2Matrix:
             tw = tm.words
         r = 0
         pivots: List[int] = []
-        for c in range(self.ncols):
-            w, sh = c >> 6, np.uint64(c & 63)
-            mask = ((work[:, w] >> sh) & np.uint64(1)).astype(bool)
-            nz = np.flatnonzero(mask[r:])
-            if nz.size == 0:
+        c = 0  # first column not yet searched for a pivot
+        while r < n and c < self.ncols:
+            # rows r.. vanish left of c, so the next pivot column is the
+            # lowest bit set in some row r..; a word with none is skipped
+            w = c >> 6
+            found = int(np.bitwise_or.reduce(work[r:, w]))
+            if not found:
+                c = (w + 1) << 6
                 continue
-            p = r + int(nz[0])
+            c = (w << 6) + (found & -found).bit_length() - 1
+            if c >= self.ncols:
+                break
+            mask = (work[:, w] & np.uint64(1 << (c & 63))) != 0
+            p = r + int(mask[r:].argmax())
             if p != r:
                 work[[r, p]] = work[[p, r]]
                 if transform:
@@ -313,8 +337,7 @@ class GF2Matrix:
                     tw[mask] ^= tw[r]
             pivots.append(c)
             r += 1
-            if r == n:
-                break
+            c += 1
         out = GF2Matrix(n, self.ncols, work)
         return out, pivots, tm
 

@@ -8,7 +8,8 @@ import pytest
 from cohlat import resolution
 from cohlat.cohomology import (GroupCohomology, SubgroupLink,
                                bar_cohomology_invariants, default_modulus_exp)
-from cohlat.errors import DegreeOutOfRange, ModulusTooSmall, NotA2Group
+from cohlat.errors import (BudgetExceeded, DegreeOutOfRange, ModulusTooSmall,
+                           NotA2Group)
 from cohlat.groups import Subgroup, builtin_group, subgroup_classes
 from cohlat.linalg import Subspace
 
@@ -350,3 +351,76 @@ def test_invariants_deepen_an_evicted_resolution(monkeypatch):
     got = gc.cohomology_invariants(2, 2)
     assert gc.res.top_degree == 3
     assert got == GroupCohomology(builtin_group("D8"), 3).cohomology_invariants(2, 2)
+
+
+def _fresh(monkeypatch, name, max_degree):
+    monkeypatch.setattr(resolution, "_RES_CACHE", OrderedDict())
+    return GroupCohomology(builtin_group(name), max_degree)
+
+
+def test_construction_builds_nothing_and_dims_reach_the_ceiling(monkeypatch):
+    gc = _fresh(monkeypatch, "D4", 4)
+    assert gc.res.top_degree == 0 and gc.res2.top_degree == 0
+    assert gc.dims == [1, 2, 3, 4, 5]  # max_degree + 1 entries
+    assert gc.res.top_degree == gc.res2.top_degree == 4
+    with pytest.raises(BudgetExceeded):
+        GroupCohomology(builtin_group("C2"), resolution.MAX_RESOLUTION_DEGREE + 1)
+
+
+def test_every_reader_stops_at_max_degree(monkeypatch):
+    gc = _fresh(monkeypatch, "D4", 3)
+    v = np.array([1])
+    sub = Subgroup(gc.group, [0])
+    rejected = [
+        lambda: gc.h_dim(4),
+        lambda: gc.h_dim(-1),
+        lambda: gc.delta(3, 1),
+        lambda: gc.bockstein(3, v, 1),
+        lambda: gc.sq1(3, v),
+        lambda: gc.sq1_image(4),
+        lambda: gc.integral_reduction_image(3),
+        lambda: gc.cohomology_invariants(4, 1),
+        lambda: gc.cup(2, v, 2, v),
+        lambda: gc.cup_via_diagonal(2, v, 2, v),
+        lambda: gc.cochain_lift(4, v, 0),
+        lambda: gc.cochain_lift(2, v, 2),  # degree + steps past the top
+        lambda: gc.cochain_lift(0, v, 4),
+        lambda: gc.cochain_lift(1, v, -1),
+        lambda: SubgroupLink(gc, sub, max_degree=4),
+    ]
+    for read in rejected:
+        with pytest.raises(DegreeOutOfRange):
+            read()
+    assert gc.res.top_degree == 0  # a rejected read builds nothing
+    assert len(gc.cochain_lift(1, np.array([1, 0]), 2)) == 3
+
+
+def test_each_reader_builds_exactly_the_degrees_it_reads(monkeypatch):
+    x, y = np.array([1, 0]), np.array([0, 1])
+    reads = [
+        (lambda gc: gc.h_dim(2), 2),
+        (lambda gc: gc.delta(1, 2), 2),
+        (lambda gc: gc.bockstein(1, x, 1), 2),
+        (lambda gc: gc.sq1_image(2), 2),
+        (lambda gc: gc.integral_reduction_image(2), 3),
+        (lambda gc: gc.cup(1, x, 1, y), 2),
+        (lambda gc: gc.cochain_lift(1, x, 2), 3),
+        (lambda gc: gc.cohomology_invariants(2, 1), 2),
+        (lambda gc: gc.cohomology_invariants(2, 2), 3),
+        # one step past max_degree: the documented top-degree extension
+        (lambda gc: gc.cohomology_invariants(4, 2), 5),
+        (lambda gc: gc.check_minimal(), 4),
+    ]
+    for read, top in reads:
+        gc = _fresh(monkeypatch, "D4", 4)
+        read(gc)
+        assert gc.res.top_degree == gc.res2.top_degree == top
+    gc = _fresh(monkeypatch, "D4", 4)
+    sub = next(s for s in subgroup_classes(gc.group) if s.order == 4)
+    link = SubgroupLink(gc, sub, max_degree=2)
+    assert gc.res2.top_degree == link.hco.res2.top_degree == 2
+    assert link.ph2.top_degree == 2 and len(link.u) == len(link.v) == 3
+    # a later, deeper read leaves the link's snapshot as it was
+    gc.h_dim(4)
+    assert link.ph2.top_degree == 2
+    assert link.restrict(2, np.array([1, 0, 1])).shape == (link.hco.h_dim(2),)

@@ -1,14 +1,21 @@
 """Tests for the degree-three obstruction criterion."""
+import hashlib
+import json
+from collections import OrderedDict
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
-from cohlat.cohomology import GroupCohomology, SubgroupLink
-from cohlat.criterion import (CriterionConfig, evaluate_criterion,
-                              transfer_cup_image, triple_cup_span)
+from cohlat import resolution
+from cohlat.cohomology import (GroupCohomology, SubgroupLink,
+                               default_modulus_exp)
+from cohlat.criterion import (MIN_MAX_DEGREE, CriterionConfig,
+                              evaluate_criterion, transfer_cup_image,
+                              triple_cup_span)
 from cohlat.errors import ModulusTooSmall, ValidationError
-from cohlat.groups import Subgroup, builtin_group, closure, subgroup_classes
+from cohlat.groups import (BUILTIN_GROUPS, Subgroup, builtin_group, closure,
+                           subgroup_classes)
 from cohlat.linalg import GF2Matrix, Subspace
 
 
@@ -233,3 +240,60 @@ def test_variant_b_implies_variant_a():
     for name in ["C4", "V4", "D4", "Q8"]:
         rep = evaluate_criterion(builtin_group(name))
         assert not (rep.criterion_b and not rep.criterion_a)
+
+
+# sha256 of json.dumps(report.to_dict(), sort_keys=True), captured before
+# readers built the resolution on demand (when every run built it to
+# max_degree); any change to a report byte shows here
+REPORT_SHA256 = {
+    ("C16", "b"): "4b868706bf4c4a304a69f2c30c4b1a6980206210f29571ed73ea1dc1142a8eec",
+    ("C16", "both"): "4f4937aeb7eaed79d14e9feb43b4338c61d021a137701743e4426db1d98c4de8",
+    ("C2", "b"): "5b7db70c3c9810136a5f9d088561d114c68be7659a6ccc70a68c045d219b4b25",
+    ("C2", "both"): "9fdace952136a373943a0851fbd82bdf25960fa8b1030f562b60991f7e35bcdb",
+    ("C2xC2xC2", "b"): "cdc595af3f1356ffe74f8d9b795a1b66afd102c99d7aec5e66cf5f59261309bd",
+    ("C2xC2xC2", "both"): "0af7dd27ab3079c3f0b10bf81ada8cc35b08c8974d35b5bd16c09bcc14a84709",
+    ("C4", "b"): "3704cadca89ad662c931e025e59f221ca41e927437cdf4b842b3a5b29b9f8ca2",
+    ("C4", "both"): "e13ec696ca9c710bd456ced7a75aec37a33e17cd12363d6eb74abcb262087b03",
+    ("C4xC2", "b"): "63ea84d2f28883e07c8e37fe00f86edf28026381caecfd94687bf2edfc5b3b88",
+    ("C4xC2", "both"): "19eff19f59d315bb8213a482c1e6a036273981d6b36493cda2c6806ce332f4dd",
+    ("C4xC4", "b"): "7ca655d06804691de73fdb49e444b25be5118ede9bc04eff409f35879d6ae33d",
+    ("C4xC4", "both"): "d75e0fc047852d00b5b872a8814a4eb5f01ae92bc853d360f8f358233bd059ae",
+    ("C8", "b"): "b658f18b65b1664c7f21d4d5eca176c96b9a96eeb2ff532d3d609fbf3955ec7e",
+    ("C8", "both"): "10bc58f475c95ee5cb368056e1ef2e5dc94af373b4cbfe9cb45d0f250e4dafea",
+    ("D4", "b"): "c3393f320303833ead4b384f4f2842f55f19fe514ba9e7b4c9a7f7f1e9ef9659",
+    ("D4", "both"): "8d3d8ee74e4590416a935e5972e27b897c06d38c71cb43c478cddd34aa528184",
+    ("D8", "b"): "fb8f2f0044b48bb9282ae501c3e0cc75400d89fb887b2daf3cb5c9785c222d21",
+    ("D8", "both"): "4acf13637dc692be28c358dca8bf3b9cbb4e18f0222dfca318a294613cb4b601",
+    ("Q16", "b"): "4a1c33dcffd863589261d68dc125ad9c81a902585fc3760ca9b85d6e2c917c5c",
+    ("Q16", "both"): "22a54a4c11c3fe9e0b29d4dd3ae5d8f3efe6b5524f0d9ea9be8aa6843cf81516",
+    ("Q8", "b"): "cb17e1c5cf7520c640594dccc6207b8bfd2e945150dca72a24bad8aa6fc1f165",
+    ("Q8", "both"): "e07a0ec6741992bac9820746163d3bb8f9a444b32bdd470ecae9b773c8dfc11c",
+    ("V4", "b"): "e2b28f7ff0934b8d5721b4100faa27c2119dda477c17a7470bd19093b453f161",
+    ("V4", "both"): "cb83b2d1b088f1014a85a3984348e79dec18b02235704da1dbba725ad8515d67",
+    ("sz8-sylow", "b"): "b804c164fcbd79ea513f43543b2ac3290e3ae540bfc2f90ea33f4ee890e8db92",
+    ("sz8-sylow", "both"): "65445d67cfe04b37573376a6f32d3c2bdf3594effdce39e0c6b8ee47b03af2c3",
+}
+
+
+def test_report_pins_cover_every_builtin():
+    assert set(REPORT_SHA256) == {(n, w) for n in BUILTIN_GROUPS
+                                  for w in ("b", "both")}
+
+
+@pytest.mark.parametrize("name,which", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(name, which):
+    rep = evaluate_criterion(builtin_group(name), CriterionConfig(which=which))
+    raw = json.dumps(rep.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(raw).hexdigest() == REPORT_SHA256[(name, which)]
+
+
+@pytest.mark.parametrize("which,top", [("b", 3), ("both", 4)])
+def test_criterion_builds_only_the_degrees_it_reads(monkeypatch, which, top):
+    monkeypatch.setattr(resolution, "_RES_CACHE", OrderedDict())
+    g = builtin_group("D4")
+    rep = evaluate_criterion(g, CriterionConfig(which=which))
+    assert rep.max_degree == MIN_MAX_DEGREE[which]  # still reported as is
+    cx = resolution._RES_CACHE[(g, default_modulus_exp(g))]
+    assert cx.top_degree == top
+    # no subgroup resolution is built past the links' degree 3 either
+    assert max(c.top_degree for c in resolution._RES_CACHE.values()) == top

@@ -583,3 +583,118 @@ def test_int_solver_rejects_a_corrupted_factorization():
     solver.tmat[0, 0] += 1
     with pytest.raises(InternalInvariant):
         solver.solve(b)
+
+
+# ---------------------------------------------------------------------------
+# Integer input straight to narrow words
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9])
+def test_howell_and_kernel_take_any_integer_dtype(k):
+    # integer input is cast to the word and masked, with no int64 copy;
+    # every dtype must give what exact residues mod 2^k give the int64
+    # reference, negative and wider-than-word entries included
+    m = 1 << k
+    rng = np.random.default_rng(3000 + k)
+    dtypes = [np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64]
+    for a in _random_modk_matrices(k, rng):
+        for dt in dtypes:
+            info = np.iinfo(dt)
+            lo, hi = max(info.min, -(1 << 40)), min(info.max, 1 << 40)
+            x = rng.integers(lo, hi, size=a.shape, endpoint=True).astype(dt)
+            exact = np.array([[int(v) % m for v in row] for row in x.tolist()],
+                             dtype=np.int64).reshape(x.shape)
+            ref_h, ref_piv, ref_t = _ref_howell_form(exact, k, transform=True)
+            hf = howell_form(x, k, transform=True)
+            assert hf.matrix.dtype == hf.transform.dtype == np.int64
+            assert hf.pivots == ref_piv
+            assert np.array_equal(hf.matrix, ref_h)
+            assert np.array_equal(hf.transform, ref_t)
+            ker = kernel_basis_modk(x, k)
+            assert ker.dtype == np.int64
+            assert np.array_equal(ker, _ref_kernel_basis_modk(exact, k))
+    # non-integer input still goes through int64
+    b = np.array([[300.0, -129.0], [True, 2]], dtype=object)
+    assert np.array_equal(kernel_basis_modk(b, k), _ref_kernel_basis_modk(
+        np.array([[300, -129], [1, 2]]), k))
+    assert np.array_equal(howell_form(b.astype(bool), k).matrix,
+                          _ref_howell_form(np.array([[1, 1], [1, 1]]), k)[0])
+
+
+# ---------------------------------------------------------------------------
+# Packed rref: pivot search by words against the per-column loop
+# ---------------------------------------------------------------------------
+
+
+def _ref_gf2_rref(g, transform):
+    """The per-column elimination the word search replaced."""
+    work = g.words.copy()
+    n = g.nrows
+    tw = None
+    if transform:
+        tw = GF2Matrix(n, n).words
+        diag = np.arange(n)
+        tw[diag, diag >> 6] = np.uint64(1) << (diag & 63).astype(np.uint64)
+    r = 0
+    pivots = []
+    for c in range(g.ncols):
+        w, sh = c >> 6, np.uint64(c & 63)
+        mask = ((work[:, w] >> sh) & np.uint64(1)).astype(bool)
+        nz = np.flatnonzero(mask[r:])
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            work[[r, p]] = work[[p, r]]
+            if transform:
+                tw[[r, p]] = tw[[p, r]]
+        mask[p] = False
+        if mask.any():
+            work[mask] ^= work[r]
+            if transform:
+                tw[mask] ^= tw[r]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return work, pivots, tw
+
+
+def _random_gf2_matrices(rng):
+    """Widths on and off word boundaries, dense and sparse fills, zero
+    column runs (inside a word, a whole word, at the end) and low rank."""
+    for nc in (1, 5, 63, 64, 65, 127, 128, 129, 200, 300):
+        for nr in (0, 1, 3, 40, 90):
+            density = float(rng.choice([0.02, 0.2, 0.5]))
+            a = (rng.random((nr, nc)) < density).astype(np.uint8)
+            runs = rng.integers(0, nc, size=(int(rng.integers(0, 4)), 2))
+            for s, length in runs:
+                a[:, s:s + int(rng.choice([1, 7, 64, 70]))] = 0
+            if nr > 3 and rng.random() < 0.3:
+                r = int(rng.integers(1, 4))
+                a = (rng.integers(0, 2, size=(nr, r))
+                     @ rng.integers(0, 2, size=(r, nc))) & 1
+            yield a
+    yield np.zeros((4, 130), dtype=np.uint8)
+    yield np.eye(70, 150, k=75, dtype=np.uint8)
+
+
+def test_rref_word_search_matches_column_loop():
+    rng = np.random.default_rng(64)
+    for a in _random_gf2_matrices(rng):
+        g = GF2Matrix.from_dense(a)
+        for transform in (False, True):
+            red, pivots, tm = g.rref(transform=transform)
+            ref_words, ref_pivots, ref_tw = _ref_gf2_rref(g, transform)
+            assert pivots == ref_pivots
+            assert np.array_equal(red.words, ref_words)
+            assert red.ncols == g.ncols and red.nrows == g.nrows
+            if transform:
+                assert np.array_equal(tm.words, ref_tw)
+                t = tm.to_dense().astype(np.int64)
+                assert np.array_equal(t @ a % 2, red.to_dense())
+            else:
+                assert tm is None
+        assert np.array_equal(g.to_dense(), a & 1)  # input left alone

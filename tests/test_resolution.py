@@ -11,7 +11,8 @@ from cohlat.groups import Subgroup, builtin_group, direct_product, subgroup_clas
 from cohlat.linalg import GF2Matrix, howell_form, kernel_basis_modk
 from cohlat.resolution import (GModuleComplex, _extend_resolution,
                                _minimal_generators, diagonal_approximation,
-                               lift_chain_map, minimal_resolution,
+                               extend_resolution, lift_chain_map,
+                               minimal_resolution, reduce_complex,
                                restrict_complex, tensor_square_complex,
                                verify_boundary_squares, verify_exactness)
 
@@ -249,6 +250,36 @@ def test_resolution_cache_evicts_least_recently_used(monkeypatch):
     assert rebuilt.ranks == first.ranks
     for a, b in zip(rebuilt.boundaries[1:], first.boundaries[1:]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_complex(a, b):
+    assert a.ranks == b.ranks and a.dims == b.dims and a.k == b.k
+    for i in range(a.top_degree + 1):
+        assert np.array_equal(a.coord_gen[i], b.coord_gen[i])
+        assert np.array_equal(a.coord_elt[i], b.coord_elt[i])
+    assert a.boundaries[0] is None and b.boundaries[0] is None
+    for x, y in zip(a.boundaries[1:], b.boundaries[1:]):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("name,k,top", [("sz8-sylow", 7, 4), ("D8", 1, 5),
+                                        ("D8", 3, 5)])
+def test_deepening_in_steps_matches_one_build(monkeypatch, name, k, top):
+    # readers deepen a held complex one degree at a time; the boundaries,
+    # and the mod-2 reduction extended alongside, must not depend on that
+    g = builtin_group(name)
+    monkeypatch.setattr(resolution, "_RES_CACHE", OrderedDict())
+    stepped = minimal_resolution(g, k, 3)
+    stepped2 = reduce_complex(stepped, 1)
+    for d in range(4, top + 1):
+        extend_resolution(stepped, d)
+        assert reduce_complex(stepped, 1) is stepped2
+    monkeypatch.setattr(resolution, "_RES_CACHE", OrderedDict())
+    straight = minimal_resolution(g, k, top)
+    assert straight is not stepped and stepped.top_degree == top
+    _same_complex(stepped, straight)
+    _same_complex(stepped2, reduce_complex(straight, 1))
 
 
 def _loop_extend_rows(src, degree, gen_rows, dst, dst_degree):

@@ -17,10 +17,9 @@ from .errors import (BudgetExceeded, DegreeOutOfRange, IncompatibleOperands,
 from .groups import FiniteGroup, Subgroup
 from .linalg import (Subspace, kernel_basis_modk,
                      modk_quotient_invariant_factors)
-from .resolution import (MAX_RESOLUTION_DEGREE, GModuleComplex,
-                         diagonal_approximation, extend_resolution,
-                         lift_chain_map, minimal_resolution, reduce_complex,
-                         restrict_complex)
+from .resolution import (MAX_RESOLUTION_DEGREE, diagonal_approximation,
+                         extend_resolution, lift_chain_map,
+                         minimal_resolution, restrict_complex)
 
 
 def default_modulus_exp(group: FiniteGroup) -> int:
@@ -53,7 +52,6 @@ class GroupCohomology:
             raise BudgetExceeded(
                 f"resolution degree {max_degree} > {MAX_RESOLUTION_DEGREE}")
         self.res = minimal_resolution(group, self.k, 0)
-        self.res2 = reduce_complex(self.res, 1)
         self._deltas: Dict[Tuple[int, int], np.ndarray] = {}
 
     @property
@@ -74,10 +72,9 @@ class GroupCohomology:
         self._reach(degree + slack)
 
     def _reach(self, degree: int):
-        """Deepen res, and with it res2, in place to at least `degree`."""
-        if self.res2.top_degree < degree:
+        """Deepen res in place to at least `degree`."""
+        if self.res.top_degree < degree:
             extend_resolution(self.res, degree)
-            reduce_complex(self.res, 1)  # extends self.res2 in place
 
     def delta(self, degree: int, m_exp: int) -> np.ndarray:
         """Cochain differential matrix: delta(phi) = phi @ delta."""
@@ -132,19 +129,18 @@ class GroupCohomology:
         if steps < 0:
             raise DegreeOutOfRange(f"negative lift length {steps}")
         self._check_degree(degree, slack=steps)
-        res2 = self.res2
-        start = np.zeros((res2.ranks[degree], res2.dims[0]), dtype=np.int64)
-        start[:, res2.gen_coords(0)[0]] = np.asarray(vec) % 2
-        out = [_shifted_view(res2, degree).extend_rows(0, start, res2, 0)]
+        res = self.res
+        start = np.zeros((res.ranks[degree], res.dims[0]), dtype=np.int64)
+        start[:, res.gen_coords(0)[0]] = np.asarray(vec) % 2
+        out = [res.extend_rows(degree, start, res, 0)]
         for j in range(1, steps + 1):
             src_deg = degree + j
-            rhs = res2.boundaries[src_deg][res2.gen_coords(src_deg)] \
-                @ out[j - 1] % 2
-            sol, ok = res2.boundary_solver(j).solve_many(rhs)
+            rhs = res.boundaries[src_deg][res.gen_coords(src_deg)] \
+                @ out[j - 1] & 1
+            sol, ok = res.boundary_solver(j).solve_many(rhs)
             if not ok.all():
                 raise InternalInvariant("cochain lift failed; not a cocycle?")
-            out.append(_shifted_view(res2, src_deg).extend_rows(
-                0, sol, res2, j))
+            out.append(res.extend_rows(src_deg, sol, res, j))
         return out
 
     def cup(self, a_deg: int, a: np.ndarray, b_deg: int, b: np.ndarray
@@ -157,9 +153,8 @@ class GroupCohomology:
             raise IncompatibleOperands("class vector has wrong length")
         lifts = self.cochain_lift(b_deg, b, a_deg)
         top = lifts[-1]
-        res2 = self.res2
-        gen_rows = top[res2.gen_coords(a_deg + b_deg)]
-        return res2.block_augment(a_deg, gen_rows, two_exp=1) @ a % 2
+        gen_rows = top[self.res.gen_coords(a_deg + b_deg)]
+        return self.res.block_augment(a_deg, gen_rows, two_exp=1) @ a % 2
 
     def cup_via_diagonal(self, a_deg: int, a: np.ndarray, b_deg: int,
                          b: np.ndarray) -> np.ndarray:
@@ -169,21 +164,21 @@ class GroupCohomology:
         """
         total = a_deg + b_deg
         self._check_degree(total)
-        tens, maps = diagonal_approximation(self.res2, total)
+        res = self.res
+        tens, maps = diagonal_approximation(res, total)
         a = np.asarray(a, dtype=np.int64) % 2
         b = np.asarray(b, dtype=np.int64) % 2
-        res2 = self.res2
-        gen_rows = maps[total][res2.gen_coords(total)] % 2
+        gen_rows = maps[total][res.gen_coords(total)] % 2
         # evaluate (a tensor b) on the (a_deg, b_deg) block coordinates
-        out = np.zeros(res2.ranks[total], dtype=np.int64)
+        out = np.zeros(res.ranks[total], dtype=np.int64)
         offset = 0
         for p in range(total + 1):
             q = total - p
-            dp, dq = res2.dims[p], res2.dims[q]
+            dp, dq = res.dims[p], res.dims[q]
             if p == a_deg:
                 block = gen_rows[:, offset:offset + dp * dq]
-                weights = (a[res2.coord_gen[p]][:, None]
-                           * b[res2.coord_gen[q]][None, :]).ravel()
+                weights = (a[res.coord_gen[p]][:, None]
+                           * b[res.coord_gen[q]][None, :]).ravel()
                 out = (out + block @ weights) % 2
             offset += dp * dq
         return out % 2
@@ -244,14 +239,6 @@ class GroupCohomology:
         return Subspace.span(lam, r)
 
 
-def _shifted_view(cx: GModuleComplex, degree: int) -> GModuleComplex:
-    """A one-degree complex exposing cx's degree `degree` as degree 0."""
-    out = GModuleComplex(cx.group, cx.k, amb_group=cx.amb_group,
-                         act_map=cx.act_map)
-    out.add_degree(cx.coord_gen[degree], cx.coord_elt[degree], None)
-    return out
-
-
 class SubgroupLink:
     """Restriction and transfer between a group and one subgroup.
 
@@ -276,24 +263,24 @@ class SubgroupLink:
         # complex is a snapshot of the parent's, so both are built first
         parent._reach(self.max_degree)
         self.hco._reach(self.max_degree)
-        self.ph2 = restrict_complex(parent.res2, sub)
-        q2 = self.hco.res2
+        self.ph2 = restrict_complex(parent.res, sub)
+        q = self.hco.res
         # the chain maps are mod 2, so they are held as bytes
-        u0 = np.zeros((self.ph2.ranks[0], q2.dims[0]), dtype=np.int64)
-        u0[:, q2.gen_coords(0)[0]] = 1
+        u0 = np.zeros((self.ph2.ranks[0], q.dims[0]), dtype=np.int64)
+        u0[:, q.gen_coords(0)[0]] = 1
         self.u = [f.astype(np.uint8) for f in
-                  lift_chain_map(self.ph2, q2, u0, self.max_degree)]
-        v0 = np.zeros((q2.ranks[0], self.ph2.dims[0]), dtype=np.int64)
+                  lift_chain_map(self.ph2, q, u0, self.max_degree)]
+        v0 = np.zeros((q.ranks[0], self.ph2.dims[0]), dtype=np.int64)
         v0[0, self.ph2.gen_coords(0)[0]] = 1
         self.v = [f.astype(np.uint8) for f in
-                  lift_chain_map(q2, self.ph2, v0, self.max_degree)]
+                  lift_chain_map(q, self.ph2, v0, self.max_degree)]
         self._left_inv_reps = parent.group.inv[sub.coset_reps()]
 
     def restrict(self, degree: int, vec: np.ndarray) -> np.ndarray:
         """res: H^degree(G, F2) -> H^degree(H, F2)."""
         vec = np.asarray(vec, dtype=np.int64) % 2
-        gen_rows = self.v[degree][self.hco.res2.gen_coords(degree)]
-        mat = self.parent.res2.block_augment(degree, gen_rows, two_exp=1)
+        gen_rows = self.v[degree][self.hco.res.gen_coords(degree)]
+        mat = self.parent.res.block_augment(degree, gen_rows, two_exp=1)
         return mat @ vec % 2
 
     def transfer(self, degree: int, vec: np.ndarray) -> np.ndarray:
@@ -303,10 +290,9 @@ class SubgroupLink:
         representatives: (cor f)(p) = sum_j f(g_j^-1 p).
         """
         vec = np.asarray(vec, dtype=np.int64) % 2
-        q2 = self.hco.res2
-        bexp = vec[q2.coord_gen[degree]]
+        bexp = vec[self.hco.res.coord_gen[degree]]
         n = self.parent.group.order
-        rank = self.parent.res2.ranks[degree]
+        rank = self.parent.res.ranks[degree]
         cols = (np.arange(rank, dtype=np.int64)[:, None] * n
                 + self._left_inv_reps[None, :])
         # only the cochain b o u at the summed coordinates is needed

@@ -775,7 +775,7 @@ def alpha_image(lat: GLattice) -> List[int]:
     dall = np.concatenate([_diag_block(lat.matrix(g)).T for g in range(n)],
                           axis=1).astype(np.float32)
     spills = np.zeros((nb, n, n, ml), dtype=np.uint8)    # (v, g, h, i)
-    for h in range(n):
+    for h in range(1, n):  # the identity fixes v: z = 0, its spills stay 0
         a = lat.matrix(h) % mod
         diff = ((a @ x) @ a.T)[:, i, j] - fixed
         if (diff % two).any():

@@ -57,19 +57,6 @@ class HowellForm:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, b: np.ndarray) -> np.ndarray:
-        """Canonical residue of b (a vector or rows) modulo the row span."""
-        mask = (1 << self.modulus_exp) - 1
-        b = np.asarray(b, dtype=np.int64) & mask
-        one = b.ndim == 1
-        res = b[None, :] if one else b
-        for i, (col, v) in enumerate(self.pivots):
-            q = res[:, col] >> v
-            nz = np.nonzero(q)[0]
-            if nz.size:
-                res[nz] = (res[nz] - np.outer(q[nz], self.matrix[i])) & mask
-        return res[0] if one else res
-
 
 def _word(k: int):
     return np.uint8 if k <= 8 else np.uint16
@@ -186,20 +173,16 @@ class ModKSolver:
         else:
             self.hf = howell_form(mat, k, transform=True)
 
-    def _rows(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=np.int64) & (self.m - 1)
-        b = b[None, :] if b.ndim == 1 else b
-        if b.shape[1] != self.ncols:
-            raise IncompatibleOperands("rhs has wrong width")
-        return b
-
     def solve_many(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Solve x @ M = b for each row b of rhs.
+        """Solve x @ M = b for each row b of rhs (a vector is one row).
 
         Returns (X, ok) where ok[i] is False when row i had no solution
         (X[i] is garbage in that case).
         """
-        rhs = self._rows(rhs)
+        rhs = np.asarray(rhs, dtype=np.int64) & (self.m - 1)
+        rhs = rhs[None, :] if rhs.ndim == 1 else rhs
+        if rhs.shape[1] != self.ncols:
+            raise IncompatibleOperands("rhs has wrong width")
         if self.hf is None:
             q = rhs[:, self.pivcols].astype(np.float32)
             res = rhs ^ _f2_product(q, self.echelon)
@@ -216,21 +199,6 @@ class ModKSolver:
                 x[nz] = (x[nz] + np.outer(q[nz], tmat[i])) & mask
         ok = ~res.any(axis=1)
         return x, ok
-
-    def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
-        x, ok = self.solve_many(b[None, :] if b.ndim == 1 else b)
-        return x[0] if bool(ok[0]) else None
-
-    def reduce(self, b: np.ndarray) -> np.ndarray:
-        """Canonical residue of b modulo the row span."""
-        if self.hf is not None:
-            return self.hf.reduce(b)
-        rows = self._rows(b)
-        res = gf2_reduce(rows, self.pivcols, self.echelon)
-        return res[0] if np.ndim(b) == 1 else res
-
-    def contains(self, b: np.ndarray) -> bool:
-        return not self.reduce(b).any()
 
 
 def kernel_basis_modk(mat: np.ndarray, k: int) -> np.ndarray:

@@ -4,7 +4,8 @@ A complex stores, per degree, a free module over the acting group's modular
 group algebra. Coordinates are plain Z/2^k entries indexed so that every
 coordinate is (group element) . (module generator); boundaries are dense
 matrices acting on row vectors, x -> x @ d. Composition therefore reads
-d[i] @ d[i-1], and d[i] @ d[i-1] == 0.
+d[i] @ d[i-1], and d[i] @ d[i-1] == 0. Chain maps are lifted over F2 on
+these same boundaries, read mod 2.
 """
 from __future__ import annotations
 
@@ -52,7 +53,6 @@ class GModuleComplex:
         self.coord_index: List[np.ndarray] = []  # (rank, |H|) -> coordinate
         self._actions: Dict[int, np.ndarray] = {}
         self._solvers: Dict[int, ModKSolver] = {}
-        self._reduced: Dict[int, "GModuleComplex"] = {}
         self._lock = threading.Lock()
 
     @property
@@ -126,10 +126,11 @@ class GModuleComplex:
         return out
 
     def boundary_solver(self, degree: int) -> ModKSolver:
+        """The boundary's factorization mod 2, which every chain lift uses."""
         with self._lock:
             s = self._solvers.get(degree)
             if s is None:
-                s = ModKSolver(self.boundaries[degree], self.k)
+                s = ModKSolver(self.boundaries[degree], 1)
                 self._solvers[degree] = s
         return s
 
@@ -242,12 +243,9 @@ def _extend_resolution(cx: GModuleComplex, max_degree: int):
         # when its generator rows do
         if deg >= 1 and (gens @ cx.boundaries[deg] % cx.mod).any():
             raise InternalInvariant("boundary composition is nonzero")
+        # standard layout: row s*n + g is g . gens[s]
         rank = gens.shape[0]
-        coord_gen = np.repeat(np.arange(rank, dtype=np.int64), n)
-        coord_elt = np.tile(np.arange(n, dtype=np.int64), rank)
-        tmp = GModuleComplex(cx.group, cx.k)
-        tmp.add_degree(coord_gen.copy(), coord_elt.copy(), None)
-        boundary = tmp.extend_rows(0, gens, cx, deg)
+        boundary = gens[:, cx.action_table(deg)].reshape(rank * n, -1)
         cx.add_standard_degree(rank, boundary)
 
 
@@ -272,7 +270,7 @@ def restrict_complex(cx: GModuleComplex, sub: Subgroup) -> GModuleComplex:
         coord_gen = amb_gen * ncos + cosidx[amb_elt]
         coord_elt = hloc[amb_elt]
         out.add_degree(coord_gen, coord_elt, cx.boundaries[i])
-    out._solvers = cx._solvers  # same matrices, share the factorizations
+    out._solvers = cx._solvers  # same matrices, share the mod-2 factorizations
     out._lock = cx._lock
     return out
 
@@ -280,14 +278,16 @@ def restrict_complex(cx: GModuleComplex, sub: Subgroup) -> GModuleComplex:
 def lift_chain_map(src: GModuleComplex, dst: GModuleComplex,
                    gen_rows0: np.ndarray, through_degree: int
                    ) -> List[np.ndarray]:
-    """Lift a degree-0 generator assignment to a chain map src -> dst.
+    """Lift a degree-0 generator assignment to a chain map src -> dst over F2.
 
-    Returns full matrices f[i] with d_src[i] @ f[i-1] == f[i] @ d_dst[i].
-    Requires dst to be exact in degrees 1..through_degree.
+    Both complexes are read mod 2. Returns 0/1 matrices f[i] with
+    d_src[i] @ f[i-1] == f[i] @ d_dst[i] mod 2. Requires dst to be exact
+    mod 2 in degrees 1..through_degree, as every resolution here is: it
+    is made of free Z/2^k-modules and resolves Z/2^k.
     """
-    f = [src.extend_rows(0, np.atleast_2d(gen_rows0), dst, 0)]
+    f = [src.extend_rows(0, np.atleast_2d(gen_rows0) & 1, dst, 0)]
     for i in range(1, through_degree + 1):
-        rhs = src.boundaries[i][src.gen_coords(i)] @ f[i - 1] % src.mod
+        rhs = src.boundaries[i][src.gen_coords(i)] @ f[i - 1] & 1
         sol, ok = dst.boundary_solver(i).solve_many(rhs)
         if not ok.all():
             raise LiftFailed(f"no chain lift in degree {i}")
@@ -390,27 +390,3 @@ def verify_boundary_squares(cx: GModuleComplex) -> bool:
             return False
     return True
 
-
-def reduce_complex(cx: GModuleComplex, modulus_exp: int) -> GModuleComplex:
-    """The same complex with coefficients reduced mod 2^modulus_exp.
-
-    Reductions are cached on the source complex (and extended in place when
-    the source has grown), so their boundary solvers are shared by every
-    consumer of the same resolution.
-    """
-    if modulus_exp > cx.k:
-        raise IncompatibleOperands("cannot raise the modulus by reduction")
-    if modulus_exp == cx.k:
-        return cx
-    m = 1 << modulus_exp
-    with cx._lock:
-        out = cx._reduced.get(modulus_exp)
-        if out is None:
-            out = GModuleComplex(cx.group, modulus_exp, amb_group=cx.amb_group,
-                                 act_map=cx.act_map)
-            cx._reduced[modulus_exp] = out
-        for i in range(out.top_degree + 1, cx.top_degree + 1):
-            b = cx.boundaries[i]
-            out.add_degree(cx.coord_gen[i], cx.coord_elt[i],
-                           None if b is None else b % m)
-    return out

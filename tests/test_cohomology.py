@@ -1,4 +1,6 @@
 """Cohomology layer: invariants vs bar complex, products, Bocksteins, transfer."""
+import hashlib
+import json
 import random
 from collections import OrderedDict
 
@@ -10,7 +12,8 @@ from cohlat.cohomology import (GroupCohomology, SubgroupLink,
                                bar_cohomology_invariants, default_modulus_exp)
 from cohlat.errors import (BudgetExceeded, DegreeOutOfRange, ModulusTooSmall,
                            NotA2Group)
-from cohlat.groups import Subgroup, builtin_group, subgroup_classes
+from cohlat.groups import (Subgroup, builtin_group, direct_product,
+                           subgroup_classes)
 from cohlat.linalg import Subspace
 
 
@@ -307,14 +310,14 @@ def test_restrict_to_trivial_subgroup(gc_cache):
 
 def test_cochain_lift_is_a_chain_map(gc_cache):
     gc = gc_cache("D4")
-    res2 = gc.res2
+    res = gc.res
     vec = np.array([1, 1, 0])
     lifts = gc.cochain_lift(2, vec, 1)
     assert np.array_equal(
-        res2.block_augment(0, lifts[0][res2.gen_coords(2)], two_exp=1)
+        res.block_augment(0, lifts[0][res.gen_coords(2)], two_exp=1)
         .ravel(), vec)
-    lhs = res2.boundaries[3] @ lifts[0] % 2
-    rhs = lifts[1] @ res2.boundaries[1] % 2
+    lhs = res.boundaries[3] @ lifts[0] % 2
+    rhs = lifts[1] @ res.boundaries[1] % 2
     assert np.array_equal(lhs, rhs)
 
 
@@ -325,16 +328,16 @@ def test_subgroup_link_chain_maps_are_bytes(gc_cache):
     gc = gc_cache("D4")
     sub = next(s for s in subgroup_classes(gc.group) if s.order == 4)
     link = SubgroupLink(gc, sub)
-    q2 = link.hco.res2
-    u0 = np.zeros((link.ph2.ranks[0], q2.dims[0]), dtype=np.int64)
-    u0[:, q2.gen_coords(0)[0]] = 1
-    full_u = lift_chain_map(link.ph2, q2, u0, link.max_degree)
+    q = link.hco.res
+    u0 = np.zeros((link.ph2.ranks[0], q.dims[0]), dtype=np.int64)
+    u0[:, q.gen_coords(0)[0]] = 1
+    full_u = lift_chain_map(link.ph2, q, u0, link.max_degree)
     assert all(f.dtype == np.uint8 for f in link.u + link.v)
     assert all(np.array_equal(a, b) for a, b in zip(link.u, full_u))
     n = gc.group.order
     for deg in range(link.max_degree + 1):
         for vec in _basis(link.hco.h_dim(deg)):
-            phi = full_u[deg] @ vec[q2.coord_gen[deg]] % 2
+            phi = full_u[deg] @ vec[q.coord_gen[deg]] % 2
             cols = (np.arange(gc.h_dim(deg))[:, None] * n
                     + link._left_inv_reps[None, :])
             assert np.array_equal(link.transfer(deg, vec),
@@ -358,11 +361,32 @@ def _fresh(monkeypatch, name, max_degree):
     return GroupCohomology(builtin_group(name), max_degree)
 
 
+def test_subgroup_links_share_the_mod2_factorizations(monkeypatch):
+    # the restricted complex holds the parent's boundaries, so it reuses
+    # the parent's solvers: each degree is factored once per resolution
+    made = []
+
+    class CountingSolver(resolution.ModKSolver):
+        def __init__(self, mat, k):
+            made.append(k)
+            super().__init__(mat, k)
+
+    monkeypatch.setattr(resolution, "ModKSolver", CountingSolver)
+    gc = _fresh(monkeypatch, "D8", 3)
+    for sub in subgroup_classes(gc.group):
+        link = SubgroupLink(gc, sub)
+        assert link.ph2._solvers is gc.res._solvers
+    assert sorted(gc.res._solvers) == [1, 2, 3]
+    solvers = [s for cx in resolution._RES_CACHE.values()
+               for s in cx._solvers.values()]
+    assert len(made) == len(solvers) and all(s.k == 1 for s in solvers)
+
+
 def test_construction_builds_nothing_and_dims_reach_the_ceiling(monkeypatch):
     gc = _fresh(monkeypatch, "D4", 4)
-    assert gc.res.top_degree == 0 and gc.res2.top_degree == 0
+    assert gc.res.top_degree == 0
     assert gc.dims == [1, 2, 3, 4, 5]  # max_degree + 1 entries
-    assert gc.res.top_degree == gc.res2.top_degree == 4
+    assert gc.res.top_degree == 4
     with pytest.raises(BudgetExceeded):
         GroupCohomology(builtin_group("C2"), resolution.MAX_RESOLUTION_DEGREE + 1)
 
@@ -414,13 +438,50 @@ def test_each_reader_builds_exactly_the_degrees_it_reads(monkeypatch):
     for read, top in reads:
         gc = _fresh(monkeypatch, "D4", 4)
         read(gc)
-        assert gc.res.top_degree == gc.res2.top_degree == top
+        assert gc.res.top_degree == top
     gc = _fresh(monkeypatch, "D4", 4)
     sub = next(s for s in subgroup_classes(gc.group) if s.order == 4)
     link = SubgroupLink(gc, sub, max_degree=2)
-    assert gc.res2.top_degree == link.hco.res2.top_degree == 2
+    assert gc.res.top_degree == link.hco.res.top_degree == 2
     assert link.ph2.top_degree == 2 and len(link.u) == len(link.v) == 3
     # a later, deeper read leaves the link's snapshot as it was
     gc.h_dim(4)
     assert link.ph2.top_degree == 2
     assert link.restrict(2, np.array([1, 0, 1])).shape == (link.hco.h_dim(2),)
+
+
+def _link_and_cup_tables(group):
+    """Restriction and transfer matrices of every subgroup class in degrees
+    0..3, and the cup tables H^1 x H^1 and H^1 x H^2, as nested lists."""
+    gc = GroupCohomology(group, 3)
+    links = []
+    for sub in subgroup_classes(group):
+        link = SubgroupLink(gc, sub)
+        links.append({
+            "elements": [int(x) for x in sub.elements],
+            "restrict": [[link.restrict(d, e).tolist()
+                          for e in _basis(gc.h_dim(d))] for d in range(4)],
+            "transfer": [[link.transfer(d, e).tolist()
+                          for e in _basis(link.hco.h_dim(d))]
+                         for d in range(4)],
+        })
+    cups = [[[gc.cup(1, a, b_deg, b).tolist() for b in _basis(gc.h_dim(b_deg))]
+             for a in _basis(gc.h_dim(1))] for b_deg in (1, 2)]
+    return {"links": links, "cup": cups}
+
+
+# sha256 of json.dumps(_link_and_cup_tables(group), sort_keys=True),
+# captured before chain lifts moved from a reduced copy of the resolution
+# onto the resolution itself; no criterion report reads restriction
+LINK_TABLE_SHA256 = {
+    "D8": "ed2b79f2f5c1ef477083c96403991d72f6fdb80b156e7f020e29e63801b4e234",
+    "C2xD8": "48f59e8fe99ab1bd1aad61c2c0e674b4c1621e856ed29f1fd4424acd878202cc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINK_TABLE_SHA256))
+def test_restrict_transfer_and_cup_tables_are_pinned(name):
+    group = (direct_product(builtin_group("C2"), builtin_group("D8"), name)
+             if name == "C2xD8" else builtin_group(name))
+    raw = json.dumps(_link_and_cup_tables(group), sort_keys=True).encode()
+    assert hashlib.sha256(raw).hexdigest() == LINK_TABLE_SHA256[name]

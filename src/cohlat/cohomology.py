@@ -3,7 +3,8 @@
 For a minimal resolution of a 2-group, mod-2 cochain differentials vanish,
 so degree-i classes with F2 coefficients are plain vectors of length
 ranks[i]. Products use chain lifts (composition product), connecting maps
-use lifts of cochains to larger moduli.
+use lifts of cochains to larger moduli. Chain maps are lifted over F2 on
+the resolution's own boundaries and held as 0/1 uint8 matrices.
 """
 from __future__ import annotations
 
@@ -12,14 +13,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import (BudgetExceeded, DegreeOutOfRange, IncompatibleOperands,
-                     InternalInvariant, ModulusTooSmall, NotA2Group,
-                     ValidationError)
+                     ModulusTooSmall, NotA2Group)
 from .groups import FiniteGroup, Subgroup
 from .linalg import (Subspace, kernel_basis_modk,
                      modk_quotient_invariant_factors)
-from .resolution import (MAX_RESOLUTION_DEGREE, diagonal_approximation,
-                         extend_resolution, lift_chain_map,
-                         minimal_resolution, restrict_complex)
+from .resolution import (MAX_RESOLUTION_DEGREE, _lift,
+                         diagonal_approximation, extend_resolution,
+                         lift_chain_map, minimal_resolution, restrict_complex)
 
 
 def default_modulus_exp(group: FiniteGroup) -> int:
@@ -27,6 +27,15 @@ def default_modulus_exp(group: FiniteGroup) -> int:
     n = group.order
     v = (n & -n).bit_length() - 1
     return v + 1
+
+
+def _class_vector(vec, dim: int) -> np.ndarray:
+    """A mod-2 class vector of length dim, reduced mod 2."""
+    out = np.asarray(vec, dtype=np.int64) % 2
+    if out.shape != (dim,):
+        raise IncompatibleOperands(
+            f"class vector has shape {out.shape}, expected ({dim},)")
+    return out
 
 
 class GroupCohomology:
@@ -76,11 +85,19 @@ class GroupCohomology:
         if self.res.top_degree < degree:
             extend_resolution(self.res, degree)
 
+    def _check_modulus(self, m_exp: int):
+        """Coefficients Z/2^m_exp need 1 <= m_exp <= the resolution's k."""
+        if m_exp < 1:
+            raise IncompatibleOperands(f"modulus exponent {m_exp} below 1")
+        if m_exp > self.k:
+            raise ModulusTooSmall(
+                f"coefficients mod 2^{m_exp} need a resolution modulus "
+                f"exponent >= {m_exp}, not {self.k}")
+
     def delta(self, degree: int, m_exp: int) -> np.ndarray:
         """Cochain differential matrix: delta(phi) = phi @ delta."""
         self._check_degree(degree, slack=1)
-        if m_exp > self.k:
-            raise ModulusTooSmall("coefficient modulus exceeds the resolution")
+        self._check_modulus(m_exp)
         return self._delta_matrix(degree, m_exp)
 
     def _delta_matrix(self, degree: int, m_exp: int) -> np.ndarray:
@@ -101,8 +118,7 @@ class GroupCohomology:
     def cohomology_invariants(self, degree: int, m_exp: int) -> List[int]:
         """H^degree(G, Z/2^m) as a list of invariant factors."""
         self._check_degree(degree)
-        if m_exp > self.k:
-            raise ModulusTooSmall("coefficient modulus exceeds the resolution")
+        self._check_modulus(m_exp)
         if m_exp == 1:
             # minimality: the outgoing differential vanishes mod 2
             ker = np.eye(self.res.ranks[degree], dtype=np.int64)
@@ -126,35 +142,35 @@ class GroupCohomology:
         c[0] sends each degree-`degree` generator to vec[s] times the
         augmentation generator; the block augmentation of c[0] is vec again.
         """
+        f, top = self._lift_cochain(degree, vec, steps)
+        return f + [self.res.extend_rows(degree + steps, top, self.res, steps)]
+
+    def _lift_cochain(self, degree: int, vec: np.ndarray, steps: int
+                      ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """c[0..steps-1] and the generator rows of c[steps]."""
         if steps < 0:
             raise DegreeOutOfRange(f"negative lift length {steps}")
         self._check_degree(degree, slack=steps)
         res = self.res
-        start = np.zeros((res.ranks[degree], res.dims[0]), dtype=np.int64)
-        start[:, res.gen_coords(0)[0]] = np.asarray(vec) % 2
-        out = [res.extend_rows(degree, start, res, 0)]
-        for j in range(1, steps + 1):
-            src_deg = degree + j
-            rhs = res.boundaries[src_deg][res.gen_coords(src_deg)] \
-                @ out[j - 1] & 1
-            sol, ok = res.boundary_solver(j).solve_many(rhs)
-            if not ok.all():
-                raise InternalInvariant("cochain lift failed; not a cocycle?")
-            out.append(res.extend_rows(src_deg, sol, res, j))
-        return out
+        start = np.zeros((res.ranks[degree], res.dims[0]), dtype=np.uint8)
+        start[:, res.gen_coords(0)[0]] = _class_vector(vec, res.ranks[degree])
+        return _lift(res, degree, res, start, steps)
+
+    def cup_map(self, a_deg: int, b_deg: int, b: np.ndarray) -> np.ndarray:
+        """Matrix of a -> a . b from H^a_deg to H^(a_deg+b_deg), F2 classes,
+        of shape (dim H^(a_deg+b_deg), dim H^a_deg).
+
+        The cochain b is lifted through a_deg steps; the last step solves
+        for the generator rows only, which is all the product reads.
+        """
+        _, top = self._lift_cochain(b_deg, b, a_deg)
+        return self.res.block_augment(a_deg, top, two_exp=1)
 
     def cup(self, a_deg: int, a: np.ndarray, b_deg: int, b: np.ndarray
             ) -> np.ndarray:
         """Product of mod-2 classes, a vector in H^(a_deg+b_deg)(G, F2)."""
-        self._check_degree(a_deg + b_deg)
-        a = np.asarray(a, dtype=np.int64) % 2
-        b = np.asarray(b, dtype=np.int64) % 2
-        if a.shape != (self.h_dim(a_deg),) or b.shape != (self.h_dim(b_deg),):
-            raise IncompatibleOperands("class vector has wrong length")
-        lifts = self.cochain_lift(b_deg, b, a_deg)
-        top = lifts[-1]
-        gen_rows = top[self.res.gen_coords(a_deg + b_deg)]
-        return self.res.block_augment(a_deg, gen_rows, two_exp=1) @ a % 2
+        mat = self.cup_map(a_deg, b_deg, b)
+        return mat @ _class_vector(a, mat.shape[1]) % 2
 
     def cup_via_diagonal(self, a_deg: int, a: np.ndarray, b_deg: int,
                          b: np.ndarray) -> np.ndarray:
@@ -193,11 +209,9 @@ class GroupCohomology:
         vector mod 2^m in degree + 1.
         """
         self._check_degree(degree, slack=1)
-        if m_exp + 1 > self.k:
-            raise ModulusTooSmall(
-                f"bockstein to modulus 2^{m_exp} needs resolution modulus "
-                f"exponent >= {m_exp + 1}")
-        vec = np.asarray(vec, dtype=np.int64) % 2
+        self._check_modulus(m_exp)
+        vec = _class_vector(vec, self.res.ranks[degree])
+        # delta checks that the resolution reaches Z/2^(m_exp + 1)
         up = vec @ self.delta(degree, m_exp + 1) % (1 << (m_exp + 1))
         if (up % 2).any():
             raise IncompatibleOperands("input is not a mod-2 cocycle")
@@ -243,7 +257,9 @@ class SubgroupLink:
     """Restriction and transfer between a group and one subgroup.
 
     Comparison chain maps run between the restricted resolution P|_H and
-    H's own minimal resolution Q, with F2 coefficients.
+    H's own minimal resolution Q, with F2 coefficients: u: P|_H -> Q for
+    transfer, lifted here, and v: Q -> P|_H for restriction, lifted on the
+    first read of `v`.
     """
 
     def __init__(self, parent: GroupCohomology, sub: Subgroup,
@@ -265,20 +281,26 @@ class SubgroupLink:
         self.hco._reach(self.max_degree)
         self.ph2 = restrict_complex(parent.res, sub)
         q = self.hco.res
-        # the chain maps are mod 2, so they are held as bytes
-        u0 = np.zeros((self.ph2.ranks[0], q.dims[0]), dtype=np.int64)
+        u0 = np.zeros((self.ph2.ranks[0], q.dims[0]), dtype=np.uint8)
         u0[:, q.gen_coords(0)[0]] = 1
-        self.u = [f.astype(np.uint8) for f in
-                  lift_chain_map(self.ph2, q, u0, self.max_degree)]
-        v0 = np.zeros((q.ranks[0], self.ph2.dims[0]), dtype=np.int64)
-        v0[0, self.ph2.gen_coords(0)[0]] = 1
-        self.v = [f.astype(np.uint8) for f in
-                  lift_chain_map(q, self.ph2, v0, self.max_degree)]
+        self.u = lift_chain_map(self.ph2, q, u0, self.max_degree)
+        self._v: Optional[List[np.ndarray]] = None
         self._left_inv_reps = parent.group.inv[sub.coset_reps()]
+
+    @property
+    def v(self) -> List[np.ndarray]:
+        """The comparison map Q -> P|_H, lifted on first use."""
+        if self._v is None:
+            q = self.hco.res
+            v0 = np.zeros((q.ranks[0], self.ph2.dims[0]), dtype=np.uint8)
+            v0[0, self.ph2.gen_coords(0)[0]] = 1
+            self._v = lift_chain_map(q, self.ph2, v0, self.max_degree)
+        return self._v
 
     def restrict(self, degree: int, vec: np.ndarray) -> np.ndarray:
         """res: H^degree(G, F2) -> H^degree(H, F2)."""
-        vec = np.asarray(vec, dtype=np.int64) % 2
+        self.hco._check_degree(degree)  # the link's ceiling
+        vec = _class_vector(vec, self.parent.res.ranks[degree])
         gen_rows = self.v[degree][self.hco.res.gen_coords(degree)]
         mat = self.parent.res.block_augment(degree, gen_rows, two_exp=1)
         return mat @ vec % 2
@@ -289,7 +311,7 @@ class SubgroupLink:
         The H-linear cochain b o u is summed over inverse left-coset
         representatives: (cor f)(p) = sum_j f(g_j^-1 p).
         """
-        vec = np.asarray(vec, dtype=np.int64) % 2
+        vec = _class_vector(vec, self.hco.h_dim(degree))
         bexp = vec[self.hco.res.coord_gen[degree]]
         n = self.parent.group.order
         rank = self.parent.res.ranks[degree]

@@ -118,16 +118,16 @@ class CriterionReport:
 def transfer_cup_image(gc: GroupCohomology, sub: Subgroup
                        ) -> Tuple[Subspace, SubgroupTerm]:
     """Span of transfers of x . u over one subgroup, x degree 1, u an
-    integrally-liftable degree-2 class of the subgroup."""
+    integrally-liftable degree-2 class of the subgroup.
+
+    The products x . u for all x are the columns of one cup map per u.
+    """
     link = SubgroupLink(gc, sub, max_degree=3)
     hco = link.hco
     h1 = hco.h_dim(1)
     lift2 = hco.integral_reduction_image(2)
-    rows = []
-    for x in np.eye(h1, dtype=np.int64):
-        for u in lift2.basis:
-            w = hco.cup(1, x, 2, u)
-            rows.append(link.transfer(3, w))
+    rows = [link.transfer(3, w)
+            for u in lift2.basis for w in hco.cup_map(1, 2, u).T]
     dim3 = gc.h_dim(3)
     span = Subspace.span(np.array(rows), dim3) if rows \
         else Subspace.zero(dim3)
@@ -153,17 +153,18 @@ def transfer_cup_span(gc: GroupCohomology,
 
 
 def triple_cup_span(gc: GroupCohomology) -> Subspace:
-    """Span of all products of three degree-1 classes."""
+    """Span of all products of three degree-1 classes.
+
+    Products of degree-1 classes commute, so e_i e_j e_l with i <= j <= l
+    span it. Column i of the cup map of e_j is e_i e_j, and the cup map of
+    e_l sends it to e_i e_j e_l: 2 r1 cup maps in all.
+    """
     r1 = gc.h_dim(1)
     basis = np.eye(r1, dtype=np.int64)
-    rows = []
-    pair: Dict[Tuple[int, int], np.ndarray] = {}
-    for i in range(r1):
-        for j in range(i, r1):
-            pair[(i, j)] = gc.cup(1, basis[i], 1, basis[j])
-    for (i, j), xy in pair.items():
-        for l in range(j, r1):
-            rows.append(gc.cup(2, xy, 1, basis[l]))
+    by1 = [gc.cup_map(1, 1, e) for e in basis]
+    by2 = [gc.cup_map(2, 1, e) for e in basis]
+    rows = [by2[l] @ by1[j][:, i] % 2
+            for i in range(r1) for j in range(i, r1) for l in range(j, r1)]
     if not rows:
         return Subspace.zero(gc.h_dim(3))
     return Subspace.span(np.array(rows), gc.h_dim(3))

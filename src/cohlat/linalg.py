@@ -185,8 +185,8 @@ class ModKSolver:
             raise IncompatibleOperands("rhs has wrong width")
         if self.hf is None:
             q = rhs[:, self.pivcols].astype(np.float32)
-            res = rhs ^ _f2_product(q, self.echelon)
-            return _f2_product(q, self.transform), ~res.any(axis=1)
+            res = rhs ^ f2_product(q, self.echelon)
+            return f2_product(q, self.transform), ~res.any(axis=1)
         mask = self.m - 1
         res = rhs.copy()
         x = np.zeros((rhs.shape[0], self.nrows), dtype=np.int64)
@@ -266,16 +266,18 @@ class GF2Matrix:
         """Reduced row echelon form; returns (rref, pivot_cols, transform_or_None).
 
         The transform satisfies T @ self = rref over F2, with the rows of T
-        past the rank spanning the left kernel.
+        past the rank spanning the left kernel. Elimination runs on one
+        packed [M | T] array, so each pivot swaps and clears once; T starts
+        on a word boundary and is split off at the end.
         """
-        work = self.words.copy()
         n = self.nrows
-        tm = None
+        nw = self.words.shape[1]
+        work = self.words.copy()
         if transform:
-            tm = GF2Matrix(n, n)
+            work = np.hstack([work, GF2Matrix(n, n).words])
             diag = np.arange(n)
-            tm.words[diag, diag >> 6] = np.uint64(1) << (diag & 63).astype(np.uint64)
-            tw = tm.words
+            work[diag, nw + (diag >> 6)] = \
+                np.uint64(1) << (diag & 63).astype(np.uint64)
         r = 0
         pivots: List[int] = []
         c = 0  # first column not yet searched for a pivot
@@ -294,20 +296,18 @@ class GF2Matrix:
             p = r + int(mask[r:].argmax())
             if p != r:
                 work[[r, p]] = work[[p, r]]
-                if transform:
-                    tw[[r, p]] = tw[[p, r]]
             # rows r..p-1 had a zero here, so after the swap the rows to
-            # clear are the ones marked, less the pivot row
+            # clear are the ones marked, less the pivot row; the pivot row
+            # is zero in the words left of w
             mask[p] = False
             if mask.any():
-                work[mask] ^= work[r]
-                if transform:
-                    tw[mask] ^= tw[r]
+                work[mask, w:] ^= work[r, w:]
             pivots.append(c)
             r += 1
             c += 1
-        out = GF2Matrix(n, self.ncols, work)
-        return out, pivots, tm
+        tm = GF2Matrix(n, n, work[:, nw:].copy()) if transform else None
+        return (GF2Matrix(n, self.ncols, np.ascontiguousarray(work[:, :nw])),
+                pivots, tm)
 
     def head(self, r: int) -> "GF2Matrix":
         """The first r rows."""
@@ -324,7 +324,7 @@ def gf2_rref_dense(arr: np.ndarray):
     return red.head(len(pivots)).to_dense(), pivots
 
 
-def _f2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def f2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b mod 2 for float32 0/1 factors, as int64; exact below 2^24 terms."""
     return (a @ b).astype(np.int64) & 1
 
@@ -335,7 +335,7 @@ def gf2_reduce(rows: np.ndarray, pivots, echelon: np.ndarray) -> np.ndarray:
     `echelon` holds the basis rows as float32 and `pivots` their pivot
     columns; every basis row vanishes in the other rows' pivot columns.
     """
-    return rows ^ _f2_product(rows[:, pivots].astype(np.float32), echelon)
+    return rows ^ f2_product(rows[:, pivots].astype(np.float32), echelon)
 
 
 # ---------------------------------------------------------------------------

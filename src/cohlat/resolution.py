@@ -5,7 +5,7 @@ group algebra. Coordinates are plain Z/2^k entries indexed so that every
 coordinate is (group element) . (module generator); boundaries are dense
 matrices acting on row vectors, x -> x @ d. Composition therefore reads
 d[i] @ d[i-1], and d[i] @ d[i-1] == 0. Chain maps are lifted over F2 on
-these same boundaries, read mod 2.
+these same boundaries, read mod 2, and held as 0/1 uint8 matrices.
 """
 from __future__ import annotations
 
@@ -18,8 +18,9 @@ import numpy as np
 from .errors import (BudgetExceeded, IncompatibleOperands, InternalInvariant,
                      LiftFailed, ValidationError)
 from .groups import FiniteGroup, Subgroup
-from .linalg import (MAX_MOD_EXP, GF2Matrix, ModKSolver, gf2_reduce,
-                     gf2_rref_dense, kernel_basis_modk, modk_spans_equal)
+from .linalg import (MAX_MOD_EXP, GF2Matrix, ModKSolver, f2_product,
+                     gf2_reduce, gf2_rref_dense, kernel_basis_modk,
+                     modk_spans_equal)
 
 MAX_RESOLUTION_DEGREE = 12
 
@@ -112,14 +113,17 @@ class GModuleComplex:
 
         gen_rows[s] is the image of generator s of this complex in degree
         `degree`, written in dst's coordinates at dst_degree. Both complexes
-        must share the acting group.
+        must share the acting group. The result has gen_rows' dtype; uint8
+        rows are 0/1 chain-map rows and are taken as reduced.
         """
         if dst.group is not self.group and dst.group != self.group:
             raise IncompatibleOperands("acting groups differ")
-        gen_rows = np.asarray(gen_rows) % self.mod
+        gen_rows = np.asarray(gen_rows)
+        if gen_rows.dtype != np.uint8:
+            gen_rows = gen_rows % self.mod
         table = dst.action_table(dst_degree)
         out = np.empty((self.dims[degree], dst.dims[dst_degree]),
-                       dtype=np.int64)
+                       dtype=gen_rows.dtype)
         # the coordinate of g . (generator s) takes g . gen_rows[s]
         for s, coords in enumerate(self.coord_index[degree]):
             out[coords] = gen_rows[s][table]
@@ -138,11 +142,7 @@ class GModuleComplex:
                       two_exp: Optional[int] = None) -> np.ndarray:
         """Sum coordinates over each generator block (the augmentation)."""
         rows = np.atleast_2d(rows)
-        rank = self.ranks[degree]
-        out = np.zeros((rows.shape[0], rank), dtype=np.int64)
-        cg = self.coord_gen[degree]
-        for s in range(rank):
-            out[:, s] = rows[:, cg == s].sum(axis=1)
+        out = rows[:, self.coord_index[degree]].sum(axis=2, dtype=np.int64)
         return out % (1 << (two_exp if two_exp is not None else self.k))
 
 
@@ -275,24 +275,43 @@ def restrict_complex(cx: GModuleComplex, sub: Subgroup) -> GModuleComplex:
     return out
 
 
+def _lift(src: GModuleComplex, src_degree: int, dst: GModuleComplex,
+          gen_rows: np.ndarray, steps: int
+          ) -> Tuple[List[np.ndarray], np.ndarray]:
+    """F2 lift of the 0/1 generator images gen_rows, src degree
+    src_degree -> dst degree 0, through `steps` degrees.
+
+    Returns the uint8 maps f[j]: src degree src_degree + j -> dst degree j
+    for j < steps, and only the generator rows of f[steps]. Products run in
+    float32 BLAS on 0/1 data, exact below 2^24 terms.
+    """
+    maps = []
+    for j in range(1, steps + 1):
+        maps.append(src.extend_rows(src_degree + j - 1, gen_rows, dst, j - 1))
+        i = src_degree + j
+        rows = src.boundaries[i][src.gen_coords(i)] & 1
+        rhs = f2_product(rows.astype(np.float32),
+                         maps[-1].astype(np.float32))
+        sol, ok = dst.boundary_solver(j).solve_many(rhs)
+        if not ok.all():
+            raise LiftFailed(f"no chain lift from degree {i} onto degree {j}")
+        gen_rows = sol.astype(np.uint8)
+    return maps, gen_rows
+
+
 def lift_chain_map(src: GModuleComplex, dst: GModuleComplex,
                    gen_rows0: np.ndarray, through_degree: int
                    ) -> List[np.ndarray]:
     """Lift a degree-0 generator assignment to a chain map src -> dst over F2.
 
-    Both complexes are read mod 2. Returns 0/1 matrices f[i] with
+    Both complexes are read mod 2. Returns 0/1 uint8 matrices f[i] with
     d_src[i] @ f[i-1] == f[i] @ d_dst[i] mod 2. Requires dst to be exact
     mod 2 in degrees 1..through_degree, as every resolution here is: it
     is made of free Z/2^k-modules and resolves Z/2^k.
     """
-    f = [src.extend_rows(0, np.atleast_2d(gen_rows0) & 1, dst, 0)]
-    for i in range(1, through_degree + 1):
-        rhs = src.boundaries[i][src.gen_coords(i)] @ f[i - 1] & 1
-        sol, ok = dst.boundary_solver(i).solve_many(rhs)
-        if not ok.all():
-            raise LiftFailed(f"no chain lift in degree {i}")
-        f.append(src.extend_rows(i, sol, dst, i))
-    return f
+    gen0 = (np.atleast_2d(gen_rows0) & 1).astype(np.uint8)
+    f, top = _lift(src, 0, dst, gen0, through_degree)
+    return f + [src.extend_rows(through_degree, top, dst, through_degree)]
 
 
 def tensor_square_complex(cx: GModuleComplex, max_degree: int,
@@ -357,9 +376,11 @@ def tensor_square_complex(cx: GModuleComplex, max_degree: int,
                 kb = np.kron(np.eye(dp, dtype=np.int64), cx.boundaries[q])
                 boundary[sl, doff:doff + dp * cx.dims[q - 1]] = sign * kb
         out.add_degree(coord_gen, coord_elt, boundary % cx.mod)
-        if i >= 2:
-            if (out.boundaries[i] @ out.boundaries[i - 1] % cx.mod).any():
-                raise InternalInvariant("tensor square boundary fails d.d=0")
+        # float64 BLAS is exact: entries below 2^MAX_MOD_EXP, at most `budget`
+        # terms per sum, so every sum stays below 2^53
+        if i >= 2 and (out.boundaries[i].astype(np.float64)
+                       @ out.boundaries[i - 1] % cx.mod).any():
+            raise InternalInvariant("tensor square boundary fails d.d=0")
         prev_blocks = blocks
     return out
 

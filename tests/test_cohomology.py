@@ -10,11 +10,12 @@ import pytest
 from cohlat import resolution
 from cohlat.cohomology import (GroupCohomology, SubgroupLink,
                                bar_cohomology_invariants, default_modulus_exp)
-from cohlat.errors import (BudgetExceeded, DegreeOutOfRange, ModulusTooSmall,
-                           NotA2Group)
+from cohlat.errors import (BudgetExceeded, DegreeOutOfRange,
+                           IncompatibleOperands, ModulusTooSmall, NotA2Group)
 from cohlat.groups import (Subgroup, builtin_group, direct_product,
                            subgroup_classes)
 from cohlat.linalg import Subspace
+from cohlat.resolution import lift_chain_map
 
 
 def _basis(n):
@@ -324,7 +325,6 @@ def test_cochain_lift_is_a_chain_map(gc_cache):
 def test_subgroup_link_chain_maps_are_bytes(gc_cache):
     # the comparison maps are mod 2 and held as uint8; transfer reads only
     # the summed coordinates, and must agree with the full int64 product
-    from cohlat.resolution import lift_chain_map
     gc = gc_cache("D4")
     sub = next(s for s in subgroup_classes(gc.group) if s.order == 4)
     link = SubgroupLink(gc, sub)
@@ -406,6 +406,9 @@ def test_every_reader_stops_at_max_degree(monkeypatch):
         lambda: gc.cohomology_invariants(4, 1),
         lambda: gc.cup(2, v, 2, v),
         lambda: gc.cup_via_diagonal(2, v, 2, v),
+        lambda: gc.cup_map(2, 2, v),
+        lambda: gc.cup_map(4, 0, v),
+        lambda: gc.cup_map(-1, 2, v),
         lambda: gc.cochain_lift(4, v, 0),
         lambda: gc.cochain_lift(2, v, 2),  # degree + steps past the top
         lambda: gc.cochain_lift(0, v, 4),
@@ -428,6 +431,8 @@ def test_each_reader_builds_exactly_the_degrees_it_reads(monkeypatch):
         (lambda gc: gc.sq1_image(2), 2),
         (lambda gc: gc.integral_reduction_image(2), 3),
         (lambda gc: gc.cup(1, x, 1, y), 2),
+        (lambda gc: gc.cup_map(0, 2, np.array([1, 0, 1])), 2),
+        (lambda gc: gc.cup_map(2, 1, y), 3),
         (lambda gc: gc.cochain_lift(1, x, 2), 3),
         (lambda gc: gc.cohomology_invariants(2, 1), 2),
         (lambda gc: gc.cohomology_invariants(2, 2), 3),
@@ -485,3 +490,128 @@ def test_restrict_transfer_and_cup_tables_are_pinned(name):
              if name == "C2xD8" else builtin_group(name))
     raw = json.dumps(_link_and_cup_tables(group), sort_keys=True).encode()
     assert hashlib.sha256(raw).hexdigest() == LINK_TABLE_SHA256[name]
+
+
+# -- the F2 chain-map path against the int64 route it replaced --
+
+def _int64_lift(src, src_degree, dst, gen_rows, steps):
+    """Chain lift with int64 products and a full map in every degree,
+    including the top one."""
+    f = [src.extend_rows(src_degree, np.asarray(gen_rows, dtype=np.int64) & 1,
+                         dst, 0)]
+    for j in range(1, steps + 1):
+        i = src_degree + j
+        rhs = src.boundaries[i][src.gen_coords(i)] @ f[j - 1] & 1
+        sol, ok = dst.boundary_solver(j).solve_many(rhs)
+        assert ok.all()
+        f.append(src.extend_rows(i, sol, dst, j))
+    return f
+
+
+def _int64_cochain_lift(gc, degree, vec, steps):
+    res = gc.res
+    start = np.zeros((res.ranks[degree], res.dims[0]), dtype=np.int64)
+    start[:, res.gen_coords(0)[0]] = np.asarray(vec) % 2
+    return _int64_lift(res, degree, res, start, steps)
+
+
+def _int64_cup(gc, a_deg, a, b_deg, b):
+    """The product read off the extended top map, one generator block at a
+    time."""
+    res = gc.res
+    top = _int64_cochain_lift(gc, b_deg, b, a_deg)[-1]
+    gen_rows = top[res.gen_coords(a_deg + b_deg)]
+    cg = res.coord_gen[a_deg]
+    aug = np.zeros((gen_rows.shape[0], res.ranks[a_deg]), dtype=np.int64)
+    for s in range(res.ranks[a_deg]):
+        aug[:, s] = gen_rows[:, cg == s].sum(axis=1)
+    return aug % 2 @ a % 2
+
+
+def _same_bytes_as_int64(got, ref):
+    """got holds the int64 0/1 maps of ref as uint8, byte for byte."""
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert r.dtype == np.int64 and not ((r < 0) | (r > 1)).any()
+        assert g.dtype == np.uint8 and g.shape == r.shape
+        assert g.tobytes() == r.astype(np.uint8).tobytes()
+
+
+def _named_group(name):
+    if name == "C2xD8":
+        return direct_product(builtin_group("C2"), builtin_group("D8"), name)
+    return builtin_group(name)
+
+
+@pytest.mark.parametrize("name,stride", [("D8", 1), ("C2xD8", 2),
+                                         ("sz8-sylow", 6)])
+def test_f2_chain_maps_match_the_int64_route(name, stride):
+    gc = GroupCohomology(_named_group(name), 3)
+    for sub in subgroup_classes(gc.group)[::stride]:
+        link = SubgroupLink(gc, sub)
+        q = link.hco.res
+        u0 = np.zeros((link.ph2.ranks[0], q.dims[0]), dtype=np.int64)
+        u0[:, q.gen_coords(0)[0]] = 1
+        v0 = np.zeros((q.ranks[0], link.ph2.dims[0]), dtype=np.int64)
+        v0[0, link.ph2.gen_coords(0)[0]] = 1
+        for src, dst, start, held in ((link.ph2, q, u0, link.u),
+                                      (q, link.ph2, v0, link.v)):
+            ref = _int64_lift(src, 0, dst, start, 3)
+            _same_bytes_as_int64(lift_chain_map(src, dst, start, 3), ref)
+            _same_bytes_as_int64(held, ref)
+    for deg in (1, 2):
+        for e in _basis(gc.h_dim(deg)):
+            _same_bytes_as_int64(gc.cochain_lift(deg, e, 3 - deg),
+                                 _int64_cochain_lift(gc, deg, e, 3 - deg))
+    for a_deg, b_deg in ((1, 1), (1, 2), (2, 1)):
+        for a in _basis(gc.h_dim(a_deg)):
+            for b in _basis(gc.h_dim(b_deg)):
+                got = gc.cup(a_deg, a, b_deg, b)
+                ref = _int64_cup(gc, a_deg, a, b_deg, b)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["C2", "C4", "C8", "V4", "C4xC2",
+                                  "C2xC2xC2", "D4", "Q8"])
+def test_cup_map_matches_diagonal_route(name, gc_cache):
+    # every built-in of order <= 8, one draw per degree pair: each diagonal
+    # read lifts a fresh diagonal approximation
+    gc = gc_cache(name)
+    rng = np.random.default_rng(8)
+    for p, q in ((1, 1), (1, 2), (2, 1)):
+        a = rng.integers(0, 2, gc.h_dim(p))
+        b = rng.integers(0, 2, gc.h_dim(q))
+        mat = gc.cup_map(p, q, b)
+        assert mat.shape == (gc.h_dim(p + q), gc.h_dim(p))
+        assert np.array_equal(mat @ a % 2, gc.cup_via_diagonal(p, a, q, b))
+
+
+# -- readers check their operands --
+
+def test_link_readers_check_degree_and_length(gc_cache):
+    gc = gc_cache("D4")
+    link = _link(gc, 4, maxdeg=2)
+    for read, dim in ((link.restrict, gc.h_dim),
+                      (link.transfer, link.hco.h_dim)):
+        for deg in (-1, 3):
+            with pytest.raises(DegreeOutOfRange):
+                read(deg, np.zeros(dim(2), dtype=np.int64))
+        for deg in (1, 2):
+            for n in (dim(deg) - 1, dim(deg) + 1):
+                with pytest.raises(IncompatibleOperands):
+                    read(deg, np.ones(n, dtype=np.int64))
+
+
+def test_connecting_maps_check_length_and_modulus(gc_cache):
+    gc = gc_cache("D4")  # H^1 has dimension 2
+    x = np.array([1, 0])
+    for bad in (np.array([1]), np.array([1, 0, 1]), np.array([[1, 0]])):
+        for read in (lambda: gc.bockstein(1, bad, 1), lambda: gc.sq1(1, bad),
+                     lambda: gc.cochain_lift(1, bad, 1)):
+            with pytest.raises(IncompatibleOperands):
+                read()
+    for m in (0, -1):
+        for read in (lambda: gc.bockstein(1, x, m), lambda: gc.delta(1, m),
+                     lambda: gc.cohomology_invariants(1, m)):
+            with pytest.raises(IncompatibleOperands):
+                read()

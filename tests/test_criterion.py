@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from cohlat import resolution
+from cohlat import cohomology, resolution
 from cohlat.cohomology import (GroupCohomology, SubgroupLink,
                                default_modulus_exp)
 from cohlat.criterion import (MIN_MAX_DEGREE, CriterionConfig,
@@ -297,3 +297,28 @@ def test_criterion_builds_only_the_degrees_it_reads(monkeypatch, which, top):
     assert cx.top_degree == top
     # no subgroup resolution is built past the links' degree 3 either
     assert max(c.top_degree for c in resolution._RES_CACHE.values()) == top
+
+
+def test_criterion_lifts_no_restriction_map(monkeypatch):
+    # each subgroup class costs one chain lift, the transfer's u: P|_H -> Q
+    # from the restricted complex; the restriction map v is never lifted
+    lifts = []
+
+    def counting(src, dst, gen_rows0, through_degree):
+        lifts.append(src)
+        return resolution.lift_chain_map(src, dst, gen_rows0, through_degree)
+
+    monkeypatch.setattr(cohomology, "lift_chain_map", counting)
+    g = builtin_group("D8")
+    rep = evaluate_criterion(g, CriterionConfig(which="b"))
+    assert len(lifts) == len(rep.subgroups) == len(subgroup_classes(g))
+    assert all(src.amb_group is not src.group for src in lifts)
+
+
+@pytest.mark.parametrize("name", ["V4", "D4", "C2xC2xC2", "C4xC4"])
+def test_triple_cup_span_matches_every_triple(name):
+    gc = GroupCohomology(builtin_group(name), 3)
+    e = np.eye(gc.h_dim(1), dtype=np.int64)
+    rows = [gc.cup(1, a, 2, gc.cup(1, b, 1, c))
+            for a in e for b in e for c in e]
+    assert triple_cup_span(gc) == Subspace.span(np.array(rows), gc.h_dim(3))

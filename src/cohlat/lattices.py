@@ -17,13 +17,16 @@ from .errors import (BudgetExceeded, CoflasquenessCheckFailed,
                      IncompatibleOperands, InternalInvariant,
                      NotRankOneKernel, ValidationError)
 from .groups import FiniteGroup, Subgroup, cayley_tree, subgroup_classes
-from .linalg import (GF2Matrix, IntSolver, int_left_kernel,
+from .linalg import (GF2Matrix, IntSolver, IntSpan, int_left_kernel,
                      int_spans_equal, invariant_factors, kernel_basis_modk,
                      modk_quotient_invariant_factors,
-                     quotient_invariant_factors, row_hnf, smith_normal_form)
+                     quotient_invariant_factors, row_hnf)
 
 MAX_DENSE_RANK = 1200
 H1_MAX_RANK = 300
+# phi reaches every built-in up to this order: the top-down coflasque cover
+# stays under H1_MAX_RANK there (rank 256 at most, on D8 and Q16), and an
+# order-16 phi takes 0.5-1.6 s on one core
 ALPHA_MAX_ORDER = 16
 M_MATERIALIZE_MAX_ORDER = 16
 
@@ -817,7 +820,7 @@ def _coboundary_rows_mod2(group: FiniteGroup, lat: GLattice) -> np.ndarray:
 @dataclass
 class CoflasqueResolution:
     ses: LatticeSES                  # 0 -> R -> P -> L -> 0
-    summands: List[Tuple[Tuple[int, ...], int]]  # (subgroup elements, fixed rank)
+    summands: List[Tuple[Tuple[int, ...], int]]  # (subgroup elements, rows)
 
     @property
     def kernel_lattice(self) -> GLattice:
@@ -828,61 +831,113 @@ class CoflasqueResolution:
         return self.ses.mid
 
 
-def _fixed_mod_norm_generators(lat: GLattice, sub: Subgroup) -> np.ndarray:
-    """Rows of the fixed sublattice generating it modulo norms from below.
+def _fixed_rows_of(lat: GLattice, sub: Subgroup) -> np.ndarray:
+    """Integer basis of the sublattice fixed by a subgroup, read off the
+    subgroup's own generators."""
+    hgrp, to_global = sub.as_group()
+    return lat.fixed_rows([int(to_global[s]) for s in hgrp.generators()])
 
-    The free summand of a cover already reaches every norm, so a subgroup
-    block only has to supply generators of fixed-points / norm-image. Smith
-    over the fixed coordinates picks a minimal set.
+
+@dataclass
+class _CoverBlock:
+    """Summand Z[G/K] (x) span(rows) of a cover, with its evaluations:
+    images[j, s] = A(r_j) rows[s] for the left-coset representatives r_j."""
+    sub: Subgroup
+    reps: np.ndarray
+    rows: np.ndarray
+    images: np.ndarray
+
+    @classmethod
+    def of(cls, lat: GLattice, sub: Subgroup, rows) -> "_CoverBlock":
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, lat.rank)
+        reps = sub.coset_reps()
+        images = np.stack([rows @ lat.matrix(int(r)).T for r in reps])
+        return cls(sub, reps, rows, images)
+
+    def orbit_sums(self, h: Subgroup) -> np.ndarray:
+        """Evaluated sums over the H-orbits of the block's basis: the images
+        of the block's H-fixed points."""
+        group = h.parent
+        coset = self.sub.coset_table()[0]
+        # the orbit of coset j is coset[h r_j] over h in H; label it by its least
+        label = coset[group.table[np.ix_(h.elements, self.reps)]].min(axis=0)
+        onehot = (np.unique(label)[:, None] == label[None, :]).astype(np.int64)
+        sums = onehot @ self.images.reshape(len(self.reps), -1)
+        return sums.reshape(-1, self.images.shape[2])
+
+
+def _take_missing(span: IntSpan, candidates: np.ndarray, grow) -> List[int]:
+    """Indices of the candidates, in order, that lie outside the span at the
+    time they are reached; grow(i) gives the rows that choosing i brings."""
+    chosen: List[int] = []
+    at = 0
+    while at < candidates.shape[0]:
+        out = np.flatnonzero(span.residues(candidates[at:]).any(axis=1))
+        if out.size == 0:
+            break
+        at += int(out[0])
+        chosen.append(at)
+        span.add(grow(at))
+        at += 1
+    return chosen
+
+
+def _top_down_blocks(lat: GLattice) -> List[_CoverBlock]:
+    """Summands of a small permutation cover with coflasque kernel.
+
+    Subgroup classes are visited from largest to smallest. At class H the
+    image of the cover's H-fixed points holds the norms N_H(L) (for any
+    cover, N_H ev(p) = ev(N_H p)) and the evaluated H-orbit sums of the
+    summands chosen so far; Z[G/H] (x) f is added for each row f of L^H
+    outside that span. H^1(H, R) is the cokernel of P^H -> L^H for the
+    kernel R, so it vanishes. Last, Z[G] (x) e is added for each basis row e
+    outside the image, which makes the cover onto. The trivial class never
+    adds a summand, since N_1(L) = L.
     """
-    fixed = lat.fixed_rows(list(sub.elements))
-    if fixed.shape[0] == 0 or sub.order == 1:
-        return fixed
-    norm = np.zeros((lat.rank, lat.rank), dtype=np.int64)
-    for h in sub.elements:
-        norm += lat.matrix(int(h))
-    solver = IntSolver(fixed)
-    xrows = []
-    for r in norm.T:
-        x = solver.solve(r)
-        if x is None:
-            raise InternalInvariant("norms escaped the fixed sublattice")
-        xrows.append(x)
-    x = np.array(xrows, dtype=np.int64)
-    dmat, _, v = smith_normal_form(x)
-    vsolver = IntSolver(v)
-    f = fixed.shape[0]
-    keep = [i for i in range(f)
-            if i >= min(dmat.shape) or dmat[i, i] not in (1, -1)]
-    rows = []
-    for i in keep:
-        e = np.zeros(f, dtype=np.int64)
-        e[i] = 1
-        w = vsolver.solve(e)
-        if w is None:
-            raise InternalInvariant("smith transform was not unimodular")
-        rows.append(w)
-    if not rows:
-        return np.zeros((0, lat.rank), dtype=np.int64)
-    return np.array(rows, dtype=np.int64) @ fixed
+    group = lat.group
+    blocks: List[_CoverBlock] = []
+    for sub in reversed(subgroup_classes(group)):
+        if sub.order == 1:
+            continue
+        fixed = _fixed_rows_of(lat, sub)
+        if fixed.shape[0] == 0:
+            continue
+        norm = sum(lat.matrix(int(h)) for h in sub.elements)
+        span = IntSpan(lat.rank)
+        span.add(np.vstack([norm.T] + [b.orbit_sums(sub) for b in blocks]))
+        take = _take_missing(
+            span, fixed,
+            lambda i: _CoverBlock.of(lat, sub, fixed[i]).orbit_sums(sub))
+        if take:
+            blocks.append(_CoverBlock.of(lat, sub, fixed[take]))
+    span = IntSpan(lat.rank)
+    span.add(np.vstack([np.zeros((0, lat.rank), dtype=np.int64)]
+                       + [b.images.reshape(-1, lat.rank) for b in blocks]))
+    mats = np.stack([lat.matrix(g) for g in range(group.order)])
+    take = _take_missing(span, np.eye(lat.rank, dtype=np.int64),
+                         lambda i: mats[:, :, i])
+    if take:
+        free = Subgroup(group, [0])
+        blocks.append(_CoverBlock.of(lat, free, np.eye(lat.rank,
+                                                        dtype=np.int64)[take]))
+    return blocks
 
 
-def coflasque_resolution(lat: GLattice,
-                         families: Optional[Sequence[Subgroup]] = None,
-                         trim: bool = True, pad_free: int = 0,
+def coflasque_resolution(lat: GLattice, trim: bool = True, pad_free: int = 0,
                          check: bool = True) -> CoflasqueResolution:
     """Permutation cover with coflasque kernel, verified subgroup by subgroup.
 
-    The cover sums, over the requested subgroup classes, the coset lattice
-    tensored with (generators of) the fixed sublattice; evaluation at coset
-    representatives maps it onto the input. A permutation lattice is its own
-    cover. pad_free appends redundant free columns, giving an inequivalent
-    resolution for cross-checks.
+    The cover is a sum of coset lattices tensored with fixed rows of the
+    input; evaluation at coset representatives maps it onto the input. By
+    default the summands are chosen top-down (_top_down_blocks); trim=False
+    takes every subgroup class with every fixed row instead. A permutation
+    lattice is its own cover. pad_free appends redundant free columns,
+    giving an inequivalent resolution for cross-checks.
     """
     if lat.mod2_mask is not None:
         raise IncompatibleOperands("resolution needs a free lattice")
     group = lat.group
-    if lat.permutation and families is None and pad_free == 0:
+    if lat.permutation and pad_free == 0:
         zero = GLattice(group,
                         [np.zeros((0, 0), dtype=np.int64)
                          for _ in group.generators()],
@@ -891,60 +946,44 @@ def coflasque_resolution(lat: GLattice,
                            np.zeros((lat.rank, 0), dtype=np.int64),
                            np.eye(lat.rank, dtype=np.int64)).verify()
         return CoflasqueResolution(ident, [])
-    if families is None:
-        families = subgroup_classes(group)
-    blocks = []
-    summands = []
-    trivial_sub = Subgroup(group, [0])
-    for sub in families:
-        if trim:
-            fixed = _fixed_mod_norm_generators(lat, sub)
-        else:
-            fixed = lat.fixed_rows(list(sub.elements))
-        if fixed.shape[0] == 0:
-            continue
-        reps = sub.coset_reps()
-        summands.append((tuple(int(x) for x in sub.elements),
-                         fixed.shape[0]))
-        blocks.append((sub, reps, fixed))
+    if trim:
+        blocks = _top_down_blocks(lat)
+    else:
+        blocks = [_CoverBlock.of(lat, sub, _fixed_rows_of(lat, sub))
+                  for sub in subgroup_classes(group)]
     if pad_free:
         pad = np.eye(lat.rank, dtype=np.int64)[:min(pad_free, lat.rank)]
-        summands.append(((0,), pad.shape[0]))
-        blocks.append((trivial_sub, trivial_sub.coset_reps(), pad))
+        blocks.append(_CoverBlock.of(lat, Subgroup(group, [0]), pad))
+    blocks = [b for b in blocks if b.rows.shape[0]]
     if not blocks:
         raise InternalInvariant("no summand survives to cover the lattice")
-    total = sum(len(reps) * fixed.shape[0] for _, reps, fixed in blocks)
+    summands = [(tuple(int(x) for x in b.sub.elements), b.rows.shape[0])
+                for b in blocks]
+    total = sum(b.images.shape[0] * b.images.shape[1] for b in blocks)
     gens = group.generators()
-    pmats = []
+    # cover basis j*k + s of a block goes to (g r_j's coset)*k + s under g
+    pacts = []
     for g in gens:
-        mat = np.zeros((total, total), dtype=np.int64)
+        perm = np.zeros(total, dtype=np.int64)
         at = 0
-        for sub, reps, fixed in blocks:
-            k = fixed.shape[0]
-            src = np.arange(len(reps))
-            dst = sub.coset_table()[0][group.table[g, reps]]
-            for s in range(k):
-                mat[at + dst * k + s, at + src * k + s] = 1
-            at += len(reps) * k
-        pmats.append(mat)
-    cover = GLattice(group, pmats, rank=total, permutation=True,
+        for b in blocks:
+            k = b.rows.shape[0]
+            dst = b.sub.coset_table()[0][group.table[g, b.reps]]
+            perm[at:at + len(b.reps) * k] = at + (dst[:, None] * k
+                                                  + np.arange(k)).ravel()
+            at += len(b.reps) * k
+        pacts.append((perm, np.ones(total, dtype=np.int64)))
+    cover = GLattice(group, pacts, rank=total, permutation=True,
                      name="coflasque-cover")
-    ev = np.zeros((lat.rank, total), dtype=np.int64)
-    at = 0
-    for sub, reps, fixed in blocks:
-        k = fixed.shape[0]
-        for j, r in enumerate(reps):
-            act = lat.matrix(int(r))
-            for s in range(k):
-                ev[:, at + j * k + s] = act @ fixed[s]
-        at += len(reps) * k
+    # column j*k + s of a block evaluates coset j of the block's row s
+    ev = np.hstack([b.images.reshape(-1, lat.rank).T for b in blocks])
     kernel_rows = int_left_kernel(ev.T)
     solver = IntSolver(kernel_rows) if kernel_rows.shape[0] else None
     rmats = []
-    for gi in range(len(gens)):
+    for g in gens:
         cols = []
         for r in kernel_rows:
-            x = solver.solve(pmats[gi] @ r)
+            x = solver.solve(cover.apply(g, r))
             if x is None:
                 raise InternalInvariant("kernel is not invariant")
             cols.append(x)

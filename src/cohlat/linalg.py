@@ -600,6 +600,48 @@ class IntSolver:
         return self.solve(b) is not None
 
 
+class IntSpan:
+    """Integer row lattice kept in Hermite normal form as rows are added,
+    with membership read off residues against that form."""
+
+    def __init__(self, width: int):
+        self.hnf = np.zeros((0, width), dtype=np.int64)
+        self.pivcols: List[int] = []
+        self._hmax: List[int] = []
+
+    def add(self, rows) -> None:
+        rows = _as_int_matrix(rows)
+        if rows.shape[0]:
+            self.hnf, self.pivcols, _ = row_hnf(np.vstack([self.hnf, rows]))
+            self._hmax = [_abs_max(r) for r in self.hnf]
+
+    def residues(self, rows) -> np.ndarray:
+        """The rows reduced by the basis; a row lies in the span exactly when
+        its residue is zero. Floor division leaves each pivot column in
+        [0, pivot), and later basis rows vanish there. Falls back to Python
+        ints before an entry could leave the int64 guard."""
+        res = _as_int_matrix(rows)
+        if self.hnf.dtype == object:
+            res = res.astype(object)
+        bound = _abs_max(res) if res.dtype != object else 0
+        for i, c in enumerate(self.pivcols):
+            q = res[:, c] // self.hnf[i, c]
+            hit = np.flatnonzero(q)
+            if hit.size == 0:
+                continue
+            q = q[hit]
+            if res.dtype != object:
+                step = _abs_max(q) * self._hmax[i]
+                if bound + step >= _INT64_GUARD:
+                    bound = _abs_max(res)
+                if bound + step >= _INT64_GUARD:
+                    res = res.astype(object)
+                    q = q.astype(object)
+                bound += step
+            res[hit] -= np.outer(q, self.hnf[i])
+        return res
+
+
 def int_spans_equal(a, b) -> bool:
     """Do two integer row sets span the same lattice?"""
     ha, pa, _ = row_hnf(a)
@@ -607,29 +649,20 @@ def int_spans_equal(a, b) -> bool:
     return pa == pb and ha.shape == hb.shape and np.array_equal(ha, hb)
 
 
-def smith_normal_form(a, transforms: bool = True):
-    """Smith normal form over Z: returns (D, U, V) with U @ a @ V = D,
-    U and V unimodular, and the nonzero diagonal d1 | d2 | ... positive.
-
-    With transforms=False only D is computed and U, V come back as None.
-    Falls back to Python ints before an entry of D, U or V would leave the
-    int64 guard.
+def smith_normal_form(a) -> np.ndarray:
+    """Smith normal form D over Z: U @ a @ V = D for some unimodular U, V,
+    with the nonzero diagonal d1 | d2 | ... positive and everything else
+    zero. Falls back to Python ints before an entry would leave the int64
+    guard.
     """
     work = _as_int_matrix(a)
     nrows, ncols = work.shape
-    # without transforms U and V have no columns (rows), so every update
-    # below is a no-op on them
-    umat = np.eye(nrows, nrows if transforms else 0, dtype=np.int64)
-    vmat = np.eye(ncols if transforms else 0, ncols, dtype=np.int64)
-    if work.dtype == object:
-        umat, vmat = umat.astype(object), vmat.astype(object)
 
-    def guard(*updates):
-        """Go to Python ints unless each m -= outer(q, vec) stays in int64."""
-        nonlocal work, umat, vmat
-        if any(m.size and _needs_object(m, np.atleast_1d(q), vec)
-               for m, q, vec in updates):
-            work, umat, vmat = _to_object(work, umat, vmat)
+    def guard(q, vec):
+        """Go to Python ints unless work -= outer(q, vec) stays in int64."""
+        nonlocal work
+        if _needs_object(work, np.atleast_1d(q), vec):
+            work = work.astype(object)
 
     t = 0
     limit = min(nrows, ncols)
@@ -643,30 +676,24 @@ def smith_normal_form(a, transforms: bool = True):
         pr, pc = int(nz[0][j]) + t, int(nz[1][j]) + t
         if pr != t:
             work[[t, pr]] = work[[pr, t]]
-            umat[[t, pr]] = umat[[pr, t]]
         if pc != t:
             work[:, [t, pc]] = work[:, [pc, t]]
-            vmat[:, [t, pc]] = vmat[:, [pc, t]]
         if work[t, t] < 0:
             work[t] = -work[t]
-            umat[t] = -umat[t]
         piv = work[t, t]
         col = work[t + 1:, t]
         row = work[t, t + 1:]
         qc = col // piv
         qr = row // piv
         if np.any(qc) or np.any(qr):
-            guard((work, np.concatenate([np.atleast_1d(qc), np.atleast_1d(qr)]),
-                   work[t]),
-                  (umat, qc, umat[t]), (vmat, qr, vmat[:, t]))
+            guard(np.concatenate([np.atleast_1d(qc), np.atleast_1d(qr)]),
+                  work[t])
             if np.any(qc):
                 qc = work[t + 1:, t] // work[t, t]
                 work[t + 1:] -= np.outer(qc, work[t])
-                umat[t + 1:] -= np.outer(qc, umat[t])
             if np.any(qr):
                 qr = work[t, t + 1:] // work[t, t]
                 work[:, t + 1:] -= np.outer(work[:, t], qr)
-                vmat[:, t + 1:] -= np.outer(vmat[:, t], qr)
             continue  # remainders may now be smaller than the pivot
         if np.any(work[t + 1:, t]) or np.any(work[t, t + 1:]):
             continue
@@ -675,25 +702,16 @@ def smith_normal_form(a, transforms: bool = True):
             bad = np.nonzero(rest % piv)
             if bad[0].size:
                 r = int(bad[0][0]) + t + 1
-                one = np.ones(1, dtype=np.int64)
-                guard((work, one, work[r]), (umat, one, umat[r]))
+                guard(1, work[r])
                 work[t] += work[r]
-                umat[t] += umat[r]
                 continue
         t += 1
-    # normalize signs and enforce the divisibility chain ordering
-    for i in range(min(nrows, ncols)):
-        if work[i, i] < 0:
-            work[i] = -work[i]
-            umat[i] = -umat[i]
-    if not transforms:
-        return work, None, None
-    return work, umat, vmat
+    return work
 
 
 def invariant_factors(a, drop_ones: bool = True) -> List[int]:
     """Nonzero Smith invariant factors of an integer matrix."""
-    d, _, _ = smith_normal_form(a, transforms=False)
+    d = smith_normal_form(a)
     out = [int(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0]
     if drop_ones:
         out = [x for x in out if x != 1]
@@ -724,7 +742,7 @@ def quotient_invariant_factors(space_rows, sub_rows) -> List[int]:
     if not coeffs:
         return [0] * basis.shape[0]
     cm = np.array(coeffs, dtype=object if basis.dtype == object else np.int64)
-    d, _, _ = smith_normal_form(cm, transforms=False)
+    d = smith_normal_form(cm)
     diag = [int(d[i, i]) for i in range(min(d.shape))]
     facs = [x for x in diag if x not in (0, 1)]
     rank = sum(1 for x in diag if x != 0)

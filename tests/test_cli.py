@@ -1,4 +1,5 @@
 """Command-line layer: parsing, envelopes, determinism, exit codes."""
+import hashlib
 import json
 
 import numpy as np
@@ -76,6 +77,37 @@ def test_phi_builtin_lattices(capsys):
                            "--lattice", lat)
         assert code == 0
         assert json.loads(out)["result"]["invariant_factors"] == []
+
+
+# sha256 of the phi report bytes on stdout, captured before the top-down
+# cover; reports carry only the invariant factors and the lattice rank
+PHI_REPORT_SHA256 = {
+    ("C2", "M"): "2deeb6896b5d820497381a04a092876b647b61b15f51cd646aed835efc604a5f",
+    ("C2", "regular"): "d30b2feee24564cd8c3aa4375e16afb776f52514693049abe5bcb6fe7a5bcdb7",
+    ("C2", "sign"): "35da0512fd0da23d90894422705c158ac6ebac1424850e6629dd3ca85e6fc0f2",
+    ("C4", "M"): "3578ca3085d29de3fbf6c821d1ac9381ca60d9962184baf7b8d17de2e0c4cd8d",
+    ("C4", "regular"): "b22ab78e4458af94ed86cc91a89c31b9d6248fed9ccca4526cd5d2306e4d8f8e",
+    ("C4", "sign"): "f2beb9fe410e5b09c7b826397aef10678ab3e1e070aa5b8f2bb77a86c33529ae",
+    ("V4", "M"): "26d6d14b38020d5867ceff0c4e5eaa802f62c5176e7a27b51e8abc506ea6230f",
+    ("V4", "regular"): "a620b33feea537a53605e9684d70d0d8610842ab89cdc42b812344c722b3cb66",
+    ("V4", "sign"): "205bf155450515eb3ee5d65721aedf5ea9e727a18c8974fa1d61dc6f995c12ae",
+}
+
+
+@pytest.mark.parametrize("group,lattice", sorted(PHI_REPORT_SHA256))
+def test_phi_report_bytes_are_pinned(capsys, group, lattice):
+    code, out, _ = run(capsys, "phi", "--group", f"builtin:{group}",
+                       "--lattice", f"builtin:{lattice}")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PHI_REPORT_SHA256[(group, lattice)]
+
+
+def test_phi_reaches_order_8(capsys):
+    code, out, _ = run(capsys, "phi", "--group", "builtin:D4")
+    assert code == 0
+    assert json.loads(out)["result"] == {"invariant_factors": [],
+                                         "lattice_rank": 49}
 
 
 def test_phi_lattice_file(capsys, tmp_path):

@@ -21,8 +21,9 @@ from cohlat.lattices import (GLattice, LatticeSES, _coboundary_rows_mod2,
                              mod2_reduction, permutation_splitting, phi,
                              pullback_lattice, two_slot_extension,
                              wedge_coords)
-from cohlat.linalg import (GF2Matrix, invariant_factors, kernel_basis_modk,
-                           quotient_invariant_factors, row_hnf)
+from cohlat.linalg import (GF2Matrix, int_spans_equal, invariant_factors,
+                           kernel_basis_modk, quotient_invariant_factors,
+                           row_hnf)
 
 
 # -- construction and validation --
@@ -698,12 +699,57 @@ def test_coflasque_untrimmed_agrees():
     assert alpha_image(a.kernel_lattice) == alpha_image(b.kernel_lattice)
 
 
+@pytest.mark.parametrize("name,cover,kernel", [
+    ("C2", 1, 0), ("C4", 9, 0), ("V4", 14, 5), ("D4", 64, 15)])
+def test_top_down_cover_ranks(name, cover, kernel):
+    res = coflasque_resolution(builtin_lattice("M", builtin_group(name)))
+    assert (res.cover.rank, res.kernel_lattice.rank) == (cover, kernel)
+
+
+@pytest.mark.parametrize("name", ["C2", "V4"])  # C4: the test below
+def test_top_down_kernel_has_the_untrimmed_alpha(name):
+    lat = builtin_lattice("M", builtin_group(name))
+    top = coflasque_resolution(lat)
+    every = coflasque_resolution(lat, trim=False)
+    assert every.cover.rank > top.cover.rank
+    assert alpha_image(top.kernel_lattice) == alpha_image(every.kernel_lattice)
+
+
+@pytest.mark.parametrize("name", ["V4", "D4"])
+def test_orbit_sums_span_the_evaluated_fixed_points(name):
+    # what the top-down choice counts as reached at H is ev(P^H), with P^H
+    # read off the permutation cover itself
+    g = builtin_group(name)
+    lat = builtin_lattice("M", g)
+    blocks = lattices._top_down_blocks(lat)
+    res = coflasque_resolution(lat)
+    for sub in subgroup_classes(g):
+        fixed = res.cover.fixed_rows(list(sub.elements))
+        sums = np.vstack([b.orbit_sums(sub) for b in blocks])
+        assert int_spans_equal(sums, fixed @ res.ses.proj.T), sub.order
+
+
+def test_free_cover_alone_fails_the_coflasque_check(monkeypatch):
+    # Z[G] (x) L maps onto L, but its kernel has H^1(H, R) = L^H / N_H(L)
+    v4 = builtin_group("V4")
+    lat = builtin_lattice("M", v4)
+
+    def free_only(lat):
+        return [lattices._CoverBlock.of(lat, Subgroup(v4, [0]),
+                                        np.eye(lat.rank, dtype=np.int64))]
+    monkeypatch.setattr(lattices, "_top_down_blocks", free_only)
+    with pytest.raises(CoflasquenessCheckFailed):
+        coflasque_resolution(lat)
+
+
 def test_pullback_lattice_is_coflasque():
     c2 = builtin_group("C2")
     data = build_mnq(c2)
     res = coflasque_resolution(data.m_lattice)
     pb = pullback_lattice(data, res)
-    assert pb.rank == 6
+    # product rank 4, plus the cover (rank 1 on C2), less M (rank 1)
+    assert res.cover.rank == 1
+    assert pb.rank == 4
     for s in subgroup_classes(c2):
         assert h1_integral(s, pb) == []
 
@@ -715,6 +761,15 @@ def test_phi_vanishes_on_small_groups(name):
 
 def test_phi_independence_check():
     assert phi(builtin_group("C4"), verify_independence=True) == []
+
+
+@pytest.mark.parametrize("name", ["C2", "C4", "V4", "C8", "C4xC2",
+                                  "C2xC2xC2", "D4", "Q8", "C16", "C4xC4",
+                                  "D8", "Q16"])
+def test_phi_on_every_builtin_up_to_order_16(name):
+    # up to order 8 a second, padded resolution must give the same answer
+    g = builtin_group(name)
+    assert phi(g, verify_independence=g.order <= 8) == []
 
 
 def test_phi_order_budget():

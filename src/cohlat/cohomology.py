@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (BudgetExceeded, DegreeOutOfRange, IncompatibleOperands,
                      ModulusTooSmall, NotA2Group)
 from .groups import FiniteGroup, Subgroup
-from .linalg import (Subspace, kernel_basis_modk,
+from .linalg import (HowellForm, Subspace, kernel_basis_modk,
                      modk_quotient_invariant_factors)
 from .resolution import (MAX_RESOLUTION_DEGREE, _lift,
                          diagonal_approximation, extend_resolution,
@@ -121,7 +121,9 @@ class GroupCohomology:
         self._check_modulus(m_exp)
         if m_exp == 1:
             # minimality: the outgoing differential vanishes mod 2
-            ker = np.eye(self.res.ranks[degree], dtype=np.int64)
+            rank = self.res.ranks[degree]
+            ker = HowellForm(np.eye(rank, dtype=np.int64),
+                             [(i, 0) for i in range(rank)], 1)
         else:
             # above modulus 2 the outgoing differential matters; at the top
             # degree this deepens the resolution one step past max_degree
@@ -248,7 +250,7 @@ class GroupCohomology:
         w = np.array([self.bockstein(degree, e, k0) for e in basis])
         b = self.delta(degree, k0) % (1 << k0)
         stacked = np.vstack([w, b])
-        ker = kernel_basis_modk(stacked, k0)
+        ker = kernel_basis_modk(stacked, k0).matrix
         lam = ker[:, :r] % 2
         return Subspace.span(lam, r)
 

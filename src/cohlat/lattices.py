@@ -663,7 +663,8 @@ def h1_integral(group_like, lat: GLattice) -> List[int]:
 
 def _fixed_points_mod2k(order: int, mats: List[np.ndarray]):
     """Rows fixed mod 2^k by the matrices, 2^k > 1 the two-part of order: the
-    kernel mod 2^k of hstack(A^T - I), returned with that system."""
+    Howell form of the kernel mod 2^k of hstack(A^T - I), returned with that
+    system."""
     k = (order & -order).bit_length() - 1
     system = np.hstack([mt.T - np.eye(len(mt), dtype=np.int64) for mt in mats])
     return kernel_basis_modk(system, k), system
@@ -763,7 +764,7 @@ def alpha_image(lat: GLattice) -> List[int]:
     two = n & -n
     if two == 1:
         return []    # odd order: degree-two classes mod 2 vanish
-    fixed, _ = _fixed_points_mod2k(n, [lam.matrix(s) for s in gens])
+    fixed = _fixed_points_mod2k(n, [lam.matrix(s) for s in gens])[0].matrix
     nb = fixed.shape[0]
     # A_h acts on W by 2x2 minors: v as an antisymmetric X goes to A_h X A_h^T
     i, j = _pair_arrays(ml)

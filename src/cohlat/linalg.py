@@ -50,7 +50,6 @@ def _inv_pow2(a: int, k: int) -> int:
 class HowellForm:
     matrix: np.ndarray            # canonical rows, pivots strictly left-to-right
     pivots: List[Tuple[int, int]]  # (column, valuation exponent) per row
-    transform: Optional[np.ndarray]  # T with (T @ original) % m == matrix
     modulus_exp: int
 
     @property
@@ -74,7 +73,7 @@ def _store_modk(dst: np.ndarray, a: np.ndarray, k: int):
     dst &= (1 << k) - 1
 
 
-def howell_form(a: np.ndarray, k: int, transform: bool = False) -> HowellForm:
+def howell_form(a: np.ndarray, k: int) -> HowellForm:
     """Canonical Howell form of integer matrix `a` taken mod 2^k."""
     if not 1 <= k <= MAX_MOD_EXP:
         raise IncompatibleOperands(f"modulus exponent {k} outside 1..{MAX_MOD_EXP}")
@@ -88,10 +87,6 @@ def howell_form(a: np.ndarray, k: int, transform: bool = False) -> HowellForm:
     cap = nrows + 8
     work = np.zeros((cap, ncols), dtype=word)
     _store_modk(work[:nrows], a, k)
-    tmat = None
-    if transform:
-        tmat = np.zeros((cap, nrows), dtype=word)
-        tmat[:nrows, :nrows] = np.eye(nrows, dtype=word)
     live = nrows
     done = 0
     pivots: List[Tuple[int, int]] = []
@@ -107,102 +102,77 @@ def howell_form(a: np.ndarray, k: int, transform: bool = False) -> HowellForm:
         pick = done + int(nz[np.argmax(vals == v)])
         if pick != done:
             work[[done, pick]] = work[[pick, done]]
-            if tmat is not None:
-                tmat[[done, pick]] = tmat[[pick, done]]
         odd = int(work[done, col]) >> v
         if odd != 1:
-            u = word(_inv_pow2(odd, k))
-            work[done] = (work[done] * u) & mask
-            if tmat is not None:
-                tmat[done] = (tmat[done] * u) & mask
+            work[done] = (work[done] * word(_inv_pow2(odd, k))) & mask
         # eliminate the column everywhere else; above-rows end up reduced mod 2^v
         q = work[:live, col] >> v
         q[done] = 0
         rows = np.nonzero(q)[0]
         if rows.size:
             work[rows] = (work[rows] - np.outer(q[rows], work[done])) & mask
-            if tmat is not None:
-                tmat[rows] = (tmat[rows] - np.outer(q[rows], tmat[done])) & mask
         if v > 0:
             shadow = (work[done] << (k - v)) & mask
             if shadow.any():
                 if live == cap:
                     grow = max(8, cap // 2)
                     work = np.vstack([work, np.zeros((grow, ncols), dtype=word)])
-                    if tmat is not None:
-                        tmat = np.vstack([tmat, np.zeros((grow, nrows), dtype=word)])
                     cap += grow
                 work[live] = shadow
-                if tmat is not None:
-                    tmat[live] = (tmat[done] << (k - v)) & mask
                 live += 1
         pivots.append((col, v))
         done += 1
     if work[done:live].any():
         raise InternalInvariant("Howell form: rows past the pivot block must be zero")
-    return HowellForm(work[:done].astype(np.int64),
-                      pivots,
-                      tmat[:done].astype(np.int64) if tmat is not None else None,
-                      k)
+    return HowellForm(work[:done].astype(np.int64), pivots, k)
 
 
 class ModKSolver:
-    """Factored form of a matrix mod 2^k for repeated solves x @ M = b.
+    """Factored form of a matrix mod 2 for repeated solves x @ M = b.
 
-    Above k = 1 the factor is the Howell form with transform. Mod 2 it is
-    the packed reduced echelon form: pivot columns `pivcols`, echelon rows H
-    and transform T with T @ M = H over F2, both held as float32. Every
-    other H row vanishes in a pivot column, so a residue is b + b[piv] @ H
-    and a solution b[piv] @ T: two BLAS products, exact for 0/1 sums below
-    2^24. These are the H and T that howell_form(M, 1, transform=True)
-    returns, since both eliminations take the first row with a nonzero
-    entry as the pivot and clear the column in every other row.
+    The factor is the packed reduced echelon form: pivot columns `pivcols`,
+    echelon rows H and transform T with T @ M = H over F2, both held as
+    float32. Every other H row vanishes in a pivot column, so a residue is
+    b + b[piv] @ H and a solution b[piv] @ T: two BLAS products, exact for
+    0/1 sums below 2^24. Only k = 1 is factored; quotients mod 2^k read
+    their coordinates off a Howell form instead.
     """
 
     def __init__(self, mat: np.ndarray, k: int):
+        if k != 1:
+            raise IncompatibleOperands(
+                f"ModKSolver factors mod 2 only, not mod 2^{k}")
         self.k = k
-        self.m = 1 << k
-        self.nrows, self.ncols = mat.shape
-        if k == 1:
-            red, pivots, tm = GF2Matrix.from_dense(mat).rref(transform=True)
-            r = len(pivots)
-            self.hf = None
-            self.pivcols = np.array(pivots, dtype=np.int64)
-            self.echelon = red.head(r).to_dense().astype(np.float32)
-            self.transform = tm.head(r).to_dense().astype(np.float32)
-        else:
-            self.hf = howell_form(mat, k, transform=True)
+        self.ncols = mat.shape[1]
+        red, pivots, tm = GF2Matrix.from_dense(mat).rref(transform=True)
+        r = len(pivots)
+        self.pivcols = np.array(pivots, dtype=np.int64)
+        self.echelon = red.head(r).to_dense().astype(np.float32)
+        self.transform = tm.head(r).to_dense().astype(np.float32)
 
     def solve_many(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Solve x @ M = b for each row b of rhs (a vector is one row).
+        """Solve x @ M = b mod 2 for each row b of rhs (a vector is one row).
 
         Returns (X, ok) where ok[i] is False when row i had no solution
         (X[i] is garbage in that case).
         """
-        rhs = np.asarray(rhs, dtype=np.int64) & (self.m - 1)
+        rhs = np.asarray(rhs, dtype=np.int64) & 1
         rhs = rhs[None, :] if rhs.ndim == 1 else rhs
         if rhs.shape[1] != self.ncols:
             raise IncompatibleOperands("rhs has wrong width")
-        if self.hf is None:
-            q = rhs[:, self.pivcols].astype(np.float32)
-            res = rhs ^ f2_product(q, self.echelon)
-            return f2_product(q, self.transform), ~res.any(axis=1)
-        mask = self.m - 1
-        res = rhs.copy()
-        x = np.zeros((rhs.shape[0], self.nrows), dtype=np.int64)
-        hmat, tmat = self.hf.matrix, self.hf.transform
-        for i, (col, v) in enumerate(self.hf.pivots):
-            q = res[:, col] >> v
-            nz = np.nonzero(q)[0]
-            if nz.size:
-                res[nz] = (res[nz] - np.outer(q[nz], hmat[i])) & mask
-                x[nz] = (x[nz] + np.outer(q[nz], tmat[i])) & mask
-        ok = ~res.any(axis=1)
-        return x, ok
+        q = rhs[:, self.pivcols].astype(np.float32)
+        res = rhs ^ f2_product(q, self.echelon)
+        return f2_product(q, self.transform), ~res.any(axis=1)
 
 
-def kernel_basis_modk(mat: np.ndarray, k: int) -> np.ndarray:
-    """Howell basis of {x : x @ mat = 0 mod 2^k}."""
+def kernel_basis_modk(mat: np.ndarray, k: int) -> HowellForm:
+    """Howell form of {x : x @ mat = 0 mod 2^k}.
+
+    The rows of the Howell form of [mat | I] that vanish on mat's columns
+    span the kernel, by the prefix-zero property, and they keep the shadow
+    closure and reduced entries above their pivots: they are the kernel's
+    own Howell form, read off with the pivots moved left by mat's width.
+    """
     mat = np.asarray(mat)
     nrows, ncols = mat.shape
     # [mat | I] mod 2^k, built in the word howell_form eliminates on
@@ -210,16 +180,10 @@ def kernel_basis_modk(mat: np.ndarray, k: int) -> np.ndarray:
     _store_modk(aug[:, :ncols], mat, k)
     aug[np.arange(nrows), ncols + np.arange(nrows)] = 1
     hf = howell_form(aug, k)
-    lead = [i for i, (c, _) in enumerate(hf.pivots) if c >= ncols]
-    if not lead:
-        return np.zeros((0, nrows), dtype=np.int64)
-    return hf.matrix[lead[0]:, ncols:].copy()
-
-
-def modk_spans_equal(a: np.ndarray, b: np.ndarray, k: int) -> bool:
-    ha = howell_form(a, k).matrix
-    hb = howell_form(b, k).matrix
-    return ha.shape == hb.shape and bool(np.array_equal(ha, hb))
+    lead = next((i for i, (c, _) in enumerate(hf.pivots) if c >= ncols),
+                hf.rank)
+    return HowellForm(hf.matrix[lead:, ncols:].copy(),
+                      [(c - ncols, v) for c, v in hf.pivots[lead:]], k)
 
 
 # ---------------------------------------------------------------------------
@@ -750,30 +714,86 @@ def quotient_invariant_factors(space_rows, sub_rows) -> List[int]:
     return facs
 
 
-def modk_quotient_invariant_factors(space_rows, sub_rows, k: int) -> List[int]:
+def modk_quotient_invariant_factors(space, sub_rows, k: int) -> List[int]:
     """Invariant factors of span(space)/span(sub) as Z/2^k-modules.
 
-    Presents the quotient on the Howell generators of the space: relators are
-    the sub rows in those coordinates, the mod-2^k relations among the
-    generators themselves (a Howell row times its pivot order need not die),
-    and 2^k times each generator.  Smith over Z finishes.
+    `space` is a HowellForm mod 2^k, as kernel_basis_modk returns it, or
+    rows whose Howell form is taken here. The quotient is presented on the
+    Howell rows h_i, pivot 2^v_i. One reduction against them in pivot order
+    gives the coordinates of the sub rows and of the shadows
+    2^(k-v_i) h_i. The relators are the sub coordinates and
+    2^(k-v_i) e_i - coords(2^(k-v_i) h_i): in a relation sum c_j h_j = 0
+    with first nonzero coefficient c_i, the pivot column of h_i reads
+    c_i 2^v_i = 0, so c_i is a multiple of 2^(k-v_i) and subtracting that
+    multiple of relator i leaves a relation starting further right.
+    Elimination over Z/2^k finishes (_local_invariant_factors).
     """
-    hf = howell_form(space_rows, k)
-    if hf.rank == 0:
-        if np.any(np.asarray(sub_rows, dtype=np.int64) % (1 << k)):
+    hf = space if isinstance(space, HowellForm) else howell_form(space, k)
+    if hf.modulus_exp != k:
+        raise IncompatibleOperands(
+            f"Howell form is mod 2^{hf.modulus_exp}, not mod 2^{k}")
+    mask = (1 << k) - 1
+    width = hf.matrix.shape[1]
+    sub = np.asarray(sub_rows, dtype=np.int64)
+    sub = sub.reshape(0, width) if sub.size == 0 else np.atleast_2d(sub)
+    if sub.ndim != 2 or sub.shape[1] != width:
+        raise IncompatibleOperands("sub rows have the wrong width")
+    r = hf.rank
+    if r == 0:
+        if (sub & mask).any():
             raise IncompatibleOperands("sub is not inside space")
         return []
-    solver = ModKSolver(hf.matrix, k)
-    sub_rows = np.asarray(sub_rows, dtype=np.int64)
-    if sub_rows.size:
-        coeffs, ok = solver.solve_many(sub_rows)
-        if not ok.all():
-            raise IncompatibleOperands("sub is not inside space")
-        rels = [coeffs]
-    else:
-        rels = []
-    selfrels = kernel_basis_modk(hf.matrix, k)
-    if selfrels.size:
-        rels.append(selfrels)
-    rels.append((1 << k) * np.eye(hf.rank, dtype=np.int64))
-    return invariant_factors(np.vstack(rels))
+    basis = hf.matrix & mask
+    cols = np.array([c for c, _ in hf.pivots], dtype=np.int64)
+    vals = np.array([v for _, v in hf.pivots], dtype=np.int64)
+    if (basis.shape[0] != r or np.any(np.diff(cols) <= 0)
+            or np.any(basis[np.arange(r), cols] != 1 << vals)
+            or np.any(basis[np.arange(width)[None, :] < cols[:, None]])):
+        raise InternalInvariant("not a Howell form: pivots out of echelon")
+    shifts = k - vals
+    rows = np.vstack([sub & mask, (basis << shifts[:, None]) & mask])
+    coords = np.zeros((rows.shape[0], r), dtype=np.int64)
+    for i, (col, v) in enumerate(hf.pivots):
+        q = rows[:, col] >> v
+        nz = np.flatnonzero(q)
+        if nz.size:
+            rows[nz] = (rows[nz] - np.outer(q[nz], basis[i])) & mask
+            coords[nz, i] = q[nz]
+    ns = sub.shape[0]
+    if rows[:ns].any():
+        raise IncompatibleOperands("sub is not inside space")
+    if rows[ns:].any():
+        raise InternalInvariant(
+            "not a Howell form: a shadow row escapes the span")
+    coords[ns + np.arange(r), np.arange(r)] -= 1 << shifts
+    return _local_invariant_factors(coords & mask, k)
+
+
+def _local_invariant_factors(rels: np.ndarray, k: int) -> List[int]:
+    """Invariant factors, 1s dropped, of (Z/2^k)^n / rowspan(rels), rels
+    with n columns and entries in [0, 2^k).
+
+    Z/2^k is local: an entry of least valuation 2^v times a unit divides
+    every other entry. So that pivot clears its column with row operations
+    and its row with column operations, leaving 2^v and the matrix without
+    its row and column. Least valuations never fall, so the factors come
+    out in divisibility order; a column left over is a free summand, 2^k.
+    """
+    mask = (1 << k) - 1
+    work = rels
+    out: List[int] = []
+    while work.size:
+        tz = _TZ[work]
+        pr, pc = divmod(int(tz.argmin()), work.shape[1])
+        v = int(tz[pr, pc])
+        if v >= k:
+            break    # the rest is zero
+        row = work[pr]
+        odd = int(row[pc]) >> v
+        if odd != 1:
+            row = (row * _inv_pow2(odd, k)) & mask
+        work = (work - np.outer(work[:, pc] >> v, row)) & mask
+        work = np.delete(np.delete(work, pr, 0), pc, 1)
+        if v:
+            out.append(1 << v)
+    return out + [1 << k] * work.shape[1]

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import (BudgetExceeded, IncompatibleOperands, InternalInvariant,
                      LiftFailed, ValidationError)
 from .groups import FiniteGroup, Subgroup
-from .linalg import (MAX_MOD_EXP, GF2Matrix, ModKSolver, f2_product,
-                     gf2_reduce, gf2_rref_dense, kernel_basis_modk,
-                     modk_spans_equal)
+from .linalg import (MAX_MOD_EXP, GF2Matrix, ModKSolver, _word, f2_product,
+                     gf2_reduce, gf2_rref_dense, howell_form,
+                     kernel_basis_modk)
 
 MAX_RESOLUTION_DEGREE = 12
 
@@ -230,12 +230,12 @@ def _extend_resolution(cx: GModuleComplex, max_degree: int):
             mat = np.ones((n, 1), dtype=np.int64)  # the augmentation
         else:
             mat = cx.boundaries[deg]
-        kernel = kernel_basis_modk(mat, cx.k)
+        kernel = kernel_basis_modk(mat, cx.k).matrix
         gens = _minimal_generators(cx, deg, kernel)
         if gens.shape[0] == 0:
             # trivial group: the resolution stops, pad with zero modules
             cx.add_standard_degree(0, np.zeros((0, cx.dims[deg]),
-                                               dtype=np.int64))
+                                               dtype=_word(cx.k)))
             continue
         if cx.block_augment(deg, gens, two_exp=1).any():
             raise InternalInvariant("selected generators are not minimal")
@@ -243,10 +243,11 @@ def _extend_resolution(cx: GModuleComplex, max_degree: int):
         # when its generator rows do
         if deg >= 1 and (gens @ cx.boundaries[deg] % cx.mod).any():
             raise InternalInvariant("boundary composition is nonzero")
-        # standard layout: row s*n + g is g . gens[s]
+        # standard layout: row s*n + g is g . gens[s]; stored in the Howell
+        # word, entries in [0, 2^k)
         rank = gens.shape[0]
-        boundary = gens[:, cx.action_table(deg)].reshape(rank * n, -1)
-        cx.add_standard_degree(rank, boundary)
+        boundary = gens.astype(_word(cx.k))[:, cx.action_table(deg)]
+        cx.add_standard_degree(rank, boundary.reshape(rank * n, -1))
 
 
 def restrict_complex(cx: GModuleComplex, sub: Subgroup) -> GModuleComplex:
@@ -401,13 +402,17 @@ def verify_exactness(cx: GModuleComplex, degree: int) -> bool:
         mat = np.ones((cx.dims[0], 1), dtype=np.int64)
     else:
         mat = cx.boundaries[degree]
-    kernel = kernel_basis_modk(mat, cx.k)
-    return modk_spans_equal(kernel, cx.boundaries[degree + 1], cx.k)
+    # both Howell forms are canonical, so equal spans give equal matrices
+    return np.array_equal(kernel_basis_modk(mat, cx.k).matrix,
+                          howell_form(cx.boundaries[degree + 1], cx.k).matrix)
 
 
 def verify_boundary_squares(cx: GModuleComplex) -> bool:
+    # boundaries in the Howell word multiply in that word, which wraps
+    # modulo 2^8 or 2^16; 2^k divides that modulus, so the product is
+    # exact mod 2^k
     for i in range(2, cx.top_degree + 1):
-        if (cx.boundaries[i] @ cx.boundaries[i - 1] % cx.mod).any():
+        if (cx.boundaries[i] @ cx.boundaries[i - 1] & (cx.mod - 1)).any():
             return False
     return True
 

@@ -204,7 +204,7 @@ def test_7_property_suites(headline):
             sq = np.array([gch.sq1(deg, e)
                            for e in np.eye(r, dtype=np.int64)])
             ker_dim = r - GF2Matrix.from_dense(sq % 2).rank()
-            shadows = kernel_basis_modk(gch.delta(deg, 2), 2) % 2
+            shadows = kernel_basis_modk(gch.delta(deg, 2), 2).matrix % 2
             assert ker_dim == Subspace.span(shadows, r).dim
 
     # alpha vanishes on permutation lattices and is unchanged by

@@ -1,4 +1,5 @@
 """Lattice layer: actions, squares, sum-map quotients, covers, obstructions."""
+import dataclasses
 import random
 
 import numpy as np
@@ -593,7 +594,7 @@ def _alpha_by_mod2_cocycles(lat):
     coeff, system = _schreier_reference(
         g, [lam.matrix(s) for s in g.generators()], 1 << k)
     # float32 products of 0/1 entries are exact: sums stay below 2**24
-    zrows = (kernel_basis_modk(system, k) & 1).astype(np.float32)
+    zrows = (kernel_basis_modk(system, k).matrix & 1).astype(np.float32)
     vals = np.stack([zrows @ (coeff[h] & 1).T.astype(np.float32) % 2
                      for h in range(n)])
     diag = np.stack([_diag_block(lat.matrix(x)) for x in range(n)])
@@ -640,10 +641,10 @@ def test_alpha_rejects_a_row_that_is_not_fixed(monkeypatch):
     real = lattices._fixed_points_mod2k
 
     def corrupted(order, mats):
-        rows, system = real(order, mats)
-        rows = rows.copy()
+        hf, system = real(order, mats)
+        rows = hf.matrix.copy()
         rows[0, 0] += 1
-        return rows, system
+        return dataclasses.replace(hf, matrix=rows), system
     monkeypatch.setattr(lattices, "_fixed_points_mod2k", corrupted)
     with pytest.raises(InternalInvariant):
         alpha_image(lat)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cohlat.errors import InternalInvariant
+from cohlat.errors import IncompatibleOperands, InternalInvariant
 from cohlat.linalg import (
     MAX_MOD_EXP,
     GF2Matrix,
+    HowellForm,
     IntSolver,
     IntSpan,
     ModKSolver,
@@ -22,11 +23,11 @@ from cohlat.linalg import (
     invariant_factors,
     kernel_basis_modk,
     modk_quotient_invariant_factors,
-    modk_spans_equal,
     quotient_invariant_factors,
     row_hnf,
     smith_normal_form,
 )
+from cohlat.linalg import _local_invariant_factors
 
 
 def _naive_span_modk(rows, k, width=None):
@@ -58,12 +59,12 @@ def test_howell_span_matches_naive_enumeration():
             a = np.array([[rng.randrange(m) for _ in range(nc)] for _ in range(nr)])
             hf = howell_form(a, k)
             assert _naive_span_modk(a, k) == _naive_span_modk(hf.matrix, k, nc)
-            # membership agrees with enumeration, and a solution solves
+            # the reference solver agrees with enumeration, and its
+            # solutions solve
             span = _naive_span_modk(a, k)
-            hsolver = ModKSolver(a, k)
             for _ in range(10):
                 v = np.array([rng.randrange(m) for _ in range(nc)])
-                x, ok = hsolver.solve_many(v)
+                x, ok = _ref_solve_many(a, k, v[None, :])
                 assert bool(ok[0]) == (tuple(int(e) for e in v) in span)
                 if ok[0]:
                     assert np.array_equal((x[0] @ a) % m, v)
@@ -92,12 +93,13 @@ def test_howell_shadow_rows_capture_torsion():
     a = np.array([[2, 1]])
     hf = howell_form(a, 2)
     assert hf.matrix.tolist() == [[2, 1], [0, 2]]  # the shadow row
-    x, ok = ModKSolver(a, 2).solve_many(np.array([0, 2]))
+    x, ok = _ref_solve_many(a, 2, np.array([[0, 2]]))
     assert ok[0] and np.array_equal((x[0] @ a) % 4, [0, 2])
     ker = kernel_basis_modk(np.array([[2], [1]]), 2)
     # x1*2 + x2*1 = 0 mod 4: solutions generated by (1,2) and (0,4)=0
     naive = {(x, y) for x in range(4) for y in range(4) if (2 * x + y) % 4 == 0}
-    assert _naive_span_modk(ker, 2) == naive
+    assert _naive_span_modk(ker.matrix, 2) == naive
+    assert ker.pivots == [(0, 0)] and ker.modulus_exp == 2
 
 
 def test_kernel_modk_random_against_bruteforce():
@@ -110,21 +112,31 @@ def test_kernel_modk_random_against_bruteforce():
             ker = kernel_basis_modk(a, k)
             naive = {v for v in itertools.product(range(m), repeat=nr)
                      if not np.any((np.array(v) @ a) % m)}
-            assert _naive_span_modk(ker, k, nr) == naive
-            for row in ker:
+            assert _naive_span_modk(ker.matrix, k, nr) == naive
+            for row in ker.matrix:
                 assert not np.any((row @ a) % m)
+            # the kernel comes back as its own Howell form
+            again = howell_form(ker.matrix, k)
+            assert ker.pivots == again.pivots and ker.modulus_exp == k
+            assert np.array_equal(ker.matrix, again.matrix)
 
 
 def test_modk_solver_roundtrip():
+    # ModKSolver factors mod 2 only; above that the reference solves
     rng = random.Random(13)
     for k in (1, 3, 7):
         m = 1 << k
         a = np.array([[rng.randrange(m) for _ in range(6)] for _ in range(4)])
-        s = ModKSolver(a, k)
+        if k == 1:
+            solve = ModKSolver(a, k).solve_many
+        else:
+            with pytest.raises(IncompatibleOperands):
+                ModKSolver(a, k)
+            solve = lambda b: _ref_solve_many(a, k, b[None, :])
         for _ in range(10):
             x = np.array([rng.randrange(m) for _ in range(4)])
             b = (x @ a) % m
-            y, ok = s.solve_many(b)
+            y, ok = solve(b)
             assert ok.shape == (1,) and ok[0]
             assert np.array_equal((y[0] @ a) % m, b)
 
@@ -311,6 +323,27 @@ def test_modk_quotient_on_a_non_split_howell_basis():
     assert modk_quotient_invariant_factors([[1, 0], [0, 2]], empty, 2) == [2, 4]
 
 
+def _factors_by_enumeration(big, small, k):
+    """Invariant factors of big/small, two finite subgroups of (Z/2^k)^n
+    given as sets of tuples, read off how many elements each 2^j kills:
+    for Q the sum of the Z/2^a_i, |Q[2^j]| = 2^(sum_i min(a_i, j)), so
+    the factors of order at least 2^j number log|Q[2^j]| - log|Q[2^(j-1)]|.
+    """
+    m = 1 << k
+    logs = []
+    for j in range(k + 1):
+        t = (1 << j) % m
+        killed = sum(1 for v in big
+                     if tuple(t * x % m for x in v) in small)
+        assert killed % len(small) == 0
+        logs.append((killed // len(small)).bit_length() - 1)
+    at_least = [logs[j] - logs[j - 1] for j in range(1, k + 1)] + [0]
+    facs = []
+    for j in range(1, k + 1):
+        facs += [1 << j] * (at_least[j - 1] - at_least[j])
+    return facs
+
+
 def test_modk_quotient_matches_naive_enumeration():
     rng = random.Random(11)
     for k in (1, 2, 3):
@@ -324,20 +357,7 @@ def test_modk_quotient_matches_naive_enumeration():
             facs = modk_quotient_invariant_factors(space, sub, k)
             big = _naive_span_modk(space, k, nc)
             small = _naive_span_modk(sub, k, nc)
-            order = 1
-            for f in facs:
-                order *= f
-            assert order == len(big) // len(small)
-            # the largest factor is the exponent of the quotient
-            expo = 1
-            for v in big:
-                t = 1
-                w = v
-                while w not in small:
-                    w = tuple((a + b) % m for a, b in zip(w, v))
-                    t += 1
-                expo = max(expo, t)
-            assert (facs[-1] if facs else 1) == expo
+            assert facs == _factors_by_enumeration(big, small, k)
 
 
 # ---------------------------------------------------------------------------
@@ -465,31 +485,24 @@ def test_narrow_howell_matches_int64_reference(k):
     m = 1 << k
     rng = np.random.default_rng(1000 + k)
     for a in _random_modk_matrices(k, rng):
-        ref_h, ref_piv, _ = _ref_howell_form(a, k)
-        hf = howell_form(a, k)
-        assert hf.matrix.dtype == np.int64 and hf.transform is None
-        assert hf.pivots == ref_piv
-        assert np.array_equal(hf.matrix, ref_h)
-
         ref_h, ref_piv, ref_t = _ref_howell_form(a, k, transform=True)
-        hf = howell_form(a, k, transform=True)
-        assert hf.transform.dtype == np.int64
+        hf = howell_form(a, k)
+        assert hf.matrix.dtype == np.int64 and hf.modulus_exp == k
         assert hf.pivots == ref_piv
         assert np.array_equal(hf.matrix, ref_h)
-        assert np.array_equal(hf.transform, ref_t)
-        assert np.array_equal((hf.transform @ a) % m, hf.matrix)
-
+        # the reference transform and solver, which the quotient reference
+        # reads, are exact
+        assert np.array_equal((ref_t @ a) % m, ref_h)
         rhs = np.vstack([rng.integers(0, m, size=(3, a.shape[0])) @ a,
                          rng.integers(-m, 2 * m, size=(3, a.shape[1]))])
-        x, ok = ModKSolver(a, k).solve_many(rhs)
         ref_x, ref_ok = _ref_solve_many(a, k, rhs)
-        assert np.array_equal(ok, ref_ok) and ok[:3].all()
-        assert np.array_equal(x, ref_x)
-        assert np.array_equal((x[ok] @ a) % m, rhs[ok] % m)
+        assert ref_ok[:3].all()
+        assert np.array_equal((ref_x[ref_ok] @ a) % m, rhs[ref_ok] % m)
 
         ker = kernel_basis_modk(a, k)
-        assert np.array_equal(ker, _ref_kernel_basis_modk(a, k))
-        assert not ((ker @ a) % m).any()
+        assert np.array_equal(ker.matrix, _ref_kernel_basis_modk(a, k))
+        assert ker.pivots == howell_form(ker.matrix, k).pivots
+        assert not ((ker.matrix @ a) % m).any()
 
 
 def test_modulus_budget_fits_the_narrow_words():
@@ -504,13 +517,12 @@ def test_modulus_budget_fits_the_narrow_words():
 
 
 def _check_f2_solver_matches_howell(a, rhs):
-    hf = howell_form(a, 1, transform=True)
+    ref_h, ref_piv, ref_t = _ref_howell_form(a, 1, transform=True)
     s = ModKSolver(a, 1)
-    assert s.hf is None
     assert s.echelon.dtype == s.transform.dtype == np.float32
-    assert [int(c) for c in s.pivcols] == [c for c, _ in hf.pivots]
-    assert np.array_equal(s.echelon, hf.matrix)
-    assert np.array_equal(s.transform, hf.transform)
+    assert [int(c) for c in s.pivcols] == [c for c, _ in ref_piv]
+    assert np.array_equal(s.echelon, ref_h)
+    assert np.array_equal(s.transform, ref_t)
     x, ok = s.solve_many(rhs)
     ref_x, ref_ok = _ref_solve_many(a, 1, rhs)
     assert x.dtype == np.int64
@@ -657,18 +669,17 @@ def test_howell_and_kernel_take_any_integer_dtype(k):
             x = rng.integers(lo, hi, size=a.shape, endpoint=True).astype(dt)
             exact = np.array([[int(v) % m for v in row] for row in x.tolist()],
                              dtype=np.int64).reshape(x.shape)
-            ref_h, ref_piv, ref_t = _ref_howell_form(exact, k, transform=True)
-            hf = howell_form(x, k, transform=True)
-            assert hf.matrix.dtype == hf.transform.dtype == np.int64
+            ref_h, ref_piv, _ = _ref_howell_form(exact, k)
+            hf = howell_form(x, k)
+            assert hf.matrix.dtype == np.int64
             assert hf.pivots == ref_piv
             assert np.array_equal(hf.matrix, ref_h)
-            assert np.array_equal(hf.transform, ref_t)
-            ker = kernel_basis_modk(x, k)
+            ker = kernel_basis_modk(x, k).matrix
             assert ker.dtype == np.int64
             assert np.array_equal(ker, _ref_kernel_basis_modk(exact, k))
     # non-integer input still goes through int64
     b = np.array([[300.0, -129.0], [True, 2]], dtype=object)
-    assert np.array_equal(kernel_basis_modk(b, k), _ref_kernel_basis_modk(
+    assert np.array_equal(kernel_basis_modk(b, k).matrix, _ref_kernel_basis_modk(
         np.array([[300, -129], [1, 2]]), k))
     assert np.array_equal(howell_form(b.astype(bool), k).matrix,
                           _ref_howell_form(np.array([[1, 1], [1, 1]]), k)[0])
@@ -749,3 +760,136 @@ def test_rref_word_search_matches_column_loop():
             else:
                 assert tm is None
         assert np.array_equal(g.to_dense(), a & 1)  # input left alone
+
+
+# ---------------------------------------------------------------------------
+# Quotients mod 2^k from one Howell form against the Smith presentation
+# ---------------------------------------------------------------------------
+#
+# The reference presents the quotient the longer way: the reference Howell
+# form of the space, sub coordinates from the reference solver, the
+# generators' own relations from the reference kernel of the Howell rows,
+# 2^k times each generator, and integer Smith of all of it.
+
+
+def _ref_modk_quotient(space_rows, sub_rows, k):
+    hmat, _, _ = _ref_howell_form(np.asarray(space_rows, dtype=np.int64), k)
+    r, width = hmat.shape
+    sub = np.asarray(sub_rows, dtype=np.int64).reshape(-1, width)
+    if r == 0:
+        assert not (sub % (1 << k)).any()
+        return []
+    rels = []
+    if sub.size:
+        coords, ok = _ref_solve_many(hmat, k, sub)
+        assert ok.all()
+        rels.append(coords)
+    selfrels = _ref_kernel_basis_modk(hmat, k)
+    if selfrels.size:
+        rels.append(selfrels)
+    rels.append((1 << k) * np.eye(r, dtype=np.int64))
+    return invariant_factors(np.vstack(rels))
+
+
+def _non_split_bases(k, rng):
+    """Rows 2^v e_c + (odd or random entries right of c): Howell forms
+    whose shadow rows are not multiples of single basis rows."""
+    m = 1 << k
+    for _ in range(4):
+        nr, nc = int(rng.integers(1, 7)), int(rng.integers(2, 9))
+        a = rng.integers(0, m, size=(nr, nc))
+        cols = np.sort(rng.choice(nc, size=min(nr, nc), replace=False))
+        for i, c in enumerate(cols):
+            a[i, :c + 1] = 0
+            a[i, c] = 1 << int(rng.integers(0, k))
+            a[i, c + 1:] |= 1
+        yield a
+
+
+def _subs_inside(space, k, rng):
+    """Sub row sets inside span(space): none, combinations, and multiples
+    of combinations by powers of two."""
+    m = 1 << k
+    nr, nc = space.shape
+    yield np.zeros((0, nc), dtype=np.int64)
+    for count in (1, 3, 7):
+        comb = rng.integers(0, m, size=(count, nr)) @ space % m
+        yield comb
+        yield comb << rng.integers(0, k + 1, size=(count, 1)) & (m - 1)
+
+
+@pytest.mark.parametrize("k", range(1, MAX_MOD_EXP + 1))
+def test_modk_quotient_matches_the_smith_reference(k):
+    rng = np.random.default_rng(5000 + k)
+    spaces = list(itertools.chain(_random_modk_matrices(k, rng),
+                                  _non_split_bases(k, rng)))
+    for space in spaces[::2] + spaces[-4:]:
+        for sub in _subs_inside(space, k, rng):
+            ref = _ref_modk_quotient(space, sub, k)
+            assert modk_quotient_invariant_factors(space, sub, k) == ref
+    # a kernel's Howell form goes to the quotient as it comes back
+    for a in spaces[1::2]:
+        ker = kernel_basis_modk(a, k)
+        for sub in _subs_inside(ker.matrix, k, rng):
+            assert (modk_quotient_invariant_factors(ker, sub, k)
+                    == _ref_modk_quotient(ker.matrix, sub, k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_local_elimination_matches_integer_smith(k):
+    m = 1 << k
+    rng = np.random.default_rng(6000 + k)
+    for _ in range(40):
+        nr, nc = int(rng.integers(0, 9)), int(rng.integers(1, 9))
+        expo = rng.integers(0, k + 1, size=(nr, nc))
+        rels = (rng.integers(0, m, size=(nr, nc)) << expo) & (m - 1)
+        stacked = np.vstack([rels, m * np.eye(nc, dtype=np.int64)])
+        assert _local_invariant_factors(rels, k) == invariant_factors(stacked)
+
+
+def test_modk_quotient_rejects_bad_input():
+    # (2, 1) mod 4 alone is not closed under its shadow (0, 2)
+    open_form = HowellForm(np.array([[2, 1]]), [(0, 1)], 2)
+    with pytest.raises(InternalInvariant):
+        modk_quotient_invariant_factors(open_form, np.zeros((0, 2)), 2)
+    # pivots that do not match the rows
+    with pytest.raises(InternalInvariant):
+        modk_quotient_invariant_factors(
+            HowellForm(np.array([[0, 1]]), [(0, 0)], 2), [[0, 1]], 2)
+    with pytest.raises(IncompatibleOperands):
+        modk_quotient_invariant_factors(howell_form([[2, 1]], 2), [[1, 0]], 2)
+    with pytest.raises(IncompatibleOperands):
+        modk_quotient_invariant_factors([[2, 1]], [[1, 0]], 2)
+    ker = kernel_basis_modk(np.array([[2], [1]]), 2)
+    with pytest.raises(IncompatibleOperands):
+        modk_quotient_invariant_factors(ker, [[0, 1]], 2)
+    with pytest.raises(IncompatibleOperands):
+        modk_quotient_invariant_factors(ker, [[1, 2]], 3)
+    with pytest.raises(IncompatibleOperands):
+        modk_quotient_invariant_factors(ker, [[1, 2, 0]], 2)
+
+
+def _ref_cohomology_invariants(gc, degree, m):
+    if m == 1:
+        ker = np.eye(gc.h_dim(degree), dtype=np.int64)
+    else:
+        ker = _ref_kernel_basis_modk(gc.delta(degree, m), m)
+    if degree == 0:
+        im = np.zeros((0, gc.h_dim(0)), dtype=np.int64)
+    else:
+        im = gc.delta(degree - 1, m)
+    return _ref_modk_quotient(ker, im, m)
+
+
+def test_cohomology_invariants_match_the_smith_reference():
+    from cohlat.cohomology import GroupCohomology
+    from cohlat.groups import BUILTIN_GROUPS, builtin_group, direct_product
+    cases = [(GroupCohomology(builtin_group(name), 4), 3)
+             for name in BUILTIN_GROUPS]
+    c2xd8 = direct_product(builtin_group("C2"), builtin_group("D8"))
+    cases.append((GroupCohomology(c2xd8, 6, modulus_exp=6), 5))
+    for gc, top in cases:
+        for degree in range(top + 1):
+            for m in range(1, gc.k + 1):
+                assert (gc.cohomology_invariants(degree, m)
+                        == _ref_cohomology_invariants(gc, degree, m))

@@ -8,8 +8,7 @@ from cohlat import resolution
 from cohlat.cohomology import default_modulus_exp
 from cohlat.errors import BudgetExceeded, InternalInvariant
 from cohlat.groups import Subgroup, builtin_group, direct_product, subgroup_classes
-from cohlat.linalg import (GF2Matrix, howell_form, kernel_basis_modk,
-                           modk_spans_equal)
+from cohlat.linalg import GF2Matrix, howell_form, kernel_basis_modk
 from cohlat.resolution import (GModuleComplex, _extend_resolution,
                                _minimal_generators, diagonal_approximation,
                                extend_resolution, lift_chain_map,
@@ -49,6 +48,20 @@ def test_complex_is_exact_and_minimal(name, k):
     for i in range(1, 5):
         gen_rows = cx.boundaries[i][cx.gen_coords(i)]
         assert not cx.block_augment(i - 1, gen_rows, two_exp=1).any()
+
+
+@pytest.mark.parametrize("name,k", [("D4", 8), ("C4xC2", 9), ("V4", 12)])
+def test_boundaries_are_stored_in_the_howell_word(name, k):
+    # uint8 up to k = 8, uint16 above; products wrap in the word, whose
+    # modulus 2^k divides, so the squares are exact mod 2^k
+    cx = minimal_resolution(builtin_group(name), k, 4)
+    word = np.uint8 if k <= 8 else np.uint16
+    assert all(cx.boundaries[i].dtype == word for i in range(1, 5))
+    assert verify_boundary_squares(cx)
+    for i in range(2, 5):
+        exact = (cx.boundaries[i].astype(np.int64)
+                 @ cx.boundaries[i - 1].astype(np.int64))
+        assert not (exact % cx.mod).any()
 
 
 def test_boundary_rows_are_equivariant():
@@ -168,6 +181,11 @@ def _span_row_generators(cx, degree, kernel_rows):
     return np.vstack(parts)
 
 
+def _modk_spans_equal(a, b, k):
+    """Equal spans mod 2^k have equal canonical Howell forms."""
+    return np.array_equal(howell_form(a, k).matrix, howell_form(b, k).matrix)
+
+
 def _ref_minimal_generators(cx, degree, kernel_rows):
     """Greedy selection in K/mK over Z/2^k that refactors the whole span
     after every pick."""
@@ -175,7 +193,7 @@ def _ref_minimal_generators(cx, degree, kernel_rows):
     selected = []
     span = base.matrix
     for w in kernel_rows:
-        if modk_spans_equal(span, np.vstack([span, w]), cx.k):
+        if _modk_spans_equal(span, np.vstack([span, w]), cx.k):
             continue  # w already lies in the span
         selected.append(w)
         span = howell_form(np.vstack([base.matrix] + selected), cx.k).matrix
@@ -186,7 +204,7 @@ def _check_minimal_generators(cx, degrees):
     for deg in degrees:
         mat = (np.ones((cx.dims[0], 1), dtype=np.int64) if deg == 0
                else cx.boundaries[deg])
-        kernel = kernel_basis_modk(mat, cx.k)
+        kernel = kernel_basis_modk(mat, cx.k).matrix
         ref = _ref_minimal_generators(cx, deg, kernel)
         assert np.array_equal(_minimal_generators(cx, deg, kernel), ref)
         # the resolution was built from the same generators

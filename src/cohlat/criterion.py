@@ -171,10 +171,8 @@ def triple_cup_span(gc: GroupCohomology) -> Subspace:
 
 
 def _first_outside(space: Subspace, inside: Subspace) -> Optional[np.ndarray]:
-    for row in space.basis:
-        if not inside.contains_vector(row):
-            return row
-    return None
+    out = np.flatnonzero(inside.reduce(space.basis).any(axis=1))
+    return space.basis[out[0]] if out.size else None
 
 
 def evaluate_criterion(group: FiniteGroup,

@@ -442,7 +442,7 @@ def abelianization(group: FiniteGroup) -> List[int]:
             r[j] += 1
             r[int(quot.table[i, j])] -= 1
             rels.append(r)
-    hnf, _, _ = row_hnf(np.array(rels))
+    hnf, _ = row_hnf(np.array(rels))
     facs = invariant_factors(hnf)
     free = m - hnf.shape[0]
     if free != 0:

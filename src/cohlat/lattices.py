@@ -17,7 +17,7 @@ from .errors import (BudgetExceeded, CoflasquenessCheckFailed,
                      IncompatibleOperands, InternalInvariant,
                      NotRankOneKernel, ValidationError)
 from .groups import FiniteGroup, Subgroup, cayley_tree, subgroup_classes
-from .linalg import (GF2Matrix, IntSolver, IntSpan, int_left_kernel,
+from .linalg import (GF2Matrix, IntSolver, int_left_kernel,
                      int_spans_equal, invariant_factors, kernel_basis_modk,
                      modk_quotient_invariant_factors,
                      quotient_invariant_factors, row_hnf)
@@ -112,14 +112,15 @@ class GLattice:
             return m
         return self._action(g)
 
-    def apply(self, g: int, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.int64)
+    def apply(self, g: int, rows: np.ndarray) -> np.ndarray:
+        """A(g) applied to a vector, or to each row of a matrix."""
+        rows = np.asarray(rows, dtype=np.int64)
         if self.monomial:
             p, s = self.perm_sign(g)
-            out = np.zeros_like(vec)
-            out[p] = s * vec
+            out = np.zeros_like(rows)
+            out[..., p] = s * rows
             return out
-        return self.matrix(g) @ vec
+        return rows @ self.matrix(g).T
 
     def _eq_mats(self, a: np.ndarray, b: np.ndarray) -> bool:
         if self.mod2_mask is None:
@@ -471,6 +472,10 @@ def exterior_of_rank_one_extension(ses: LatticeSES) -> LatticeSES:
 
     The injection sends y to x ^ sigma for any preimage x of y, where sigma
     spans the rank-one kernel; the middle homology is checked to vanish.
+    Preimages of the basis are read off the Hermite form of [proj^T | I]:
+    its first rows are (e_j, x_j) with proj x_j = e_j exactly when proj is
+    onto. Two preimages differ by a multiple of sigma, which the wedge
+    with sigma kills.
     """
     if ses.sub.rank != 1 or ses.sub.mod2_mask is not None:
         raise NotRankOneKernel("kernel is not free of rank one")
@@ -480,14 +485,14 @@ def exterior_of_rank_one_extension(ses: LatticeSES) -> LatticeSES:
     sigma = ses.inj[:, 0]
     lam_mid = lambda2(ses.mid)
     lam_quo = lambda2(ses.quo)
-    solver = IntSolver(ses.proj.T)
-    cols = []
-    for e in np.eye(ses.quo.rank, dtype=np.int64):
-        x = solver.solve(e)
-        if x is None:
-            raise ValidationError("projection is not onto")
-        cols.append(wedge_coords(x, sigma))
-    eta = np.array(cols, dtype=np.int64).T
+    q = ses.quo.rank
+    hnf, pivcols = row_hnf(np.hstack([ses.proj.T,
+                                      np.eye(ses.mid.rank, dtype=np.int64)]))
+    if pivcols[:q] != list(range(q)) or \
+            not np.array_equal(hnf[:q, :q], np.eye(q, dtype=np.int64)):
+        raise ValidationError("projection is not onto")
+    eta = np.array([wedge_coords(x, sigma) for x in hnf[:q, q:]],
+                   dtype=np.int64).T
     proj2 = _wedge_minors_of_map(ses.proj)
     out = LatticeSES(ses.quo, lam_mid, lam_quo, eta, proj2).verify()
     if invariant_factors(eta):
@@ -523,6 +528,27 @@ def _product_perm(group: FiniteGroup, g: int) -> np.ndarray:
     return (t[g][:, None] * n + t[g][None, :]).ravel()
 
 
+def _move_pairs(group: FiniteGroup, g: int, rows: np.ndarray) -> np.ndarray:
+    """Rows of the product lattice moved by g."""
+    out = np.empty_like(rows)
+    out[:, _product_perm(group, g)] = rows
+    return out
+
+
+def _sublattice_action(group: FiniteGroup, solver: IntSolver, move,
+                       name: str) -> GLattice:
+    """Action on an invariant sublattice in the coordinates of its Hermite
+    basis solver.hnf: move(g, rows) moves rows by generator g, and one
+    batched solve per generator reads the moved basis back."""
+    mats = []
+    for g in group.generators():
+        x, ok = solver.solve(move(g, solver.hnf))
+        if not ok.all():
+            raise InternalInvariant(f"{name} is not invariant")
+        mats.append(x.T)
+    return GLattice(group, mats, rank=solver.hnf.shape[0], name=name)
+
+
 def build_mnq(group: FiniteGroup,
               materialize_m: Optional[bool] = None) -> MNQData:
     """Assemble the two-slot sum map into the product and its cokernel."""
@@ -538,26 +564,14 @@ def build_mnq(group: FiniteGroup,
     if ker.shape[0] != 1 or not (np.array_equal(ker[0], gamma)
                                  or np.array_equal(ker[0], -gamma)):
         raise InternalInvariant("kernel is not the expected rank-one lattice")
-    hnf, pivcols, _ = row_hnf(rho)
+    solver = IntSolver(rho)
+    hnf, pivcols = solver.hnf, solver.pivcols
     torsion_free = all(int(hnf[i, c]) == 1 for i, c in enumerate(pivcols))
     if not torsion_free:
         torsion_free = not invariant_factors(rho)
-    solver = IntSolver(hnf)
-    gens = group.generators()
-    img_mats = []
-    for g in gens:
-        perm = _product_perm(group, g)
-        cols = []
-        for r in hnf:
-            moved = np.zeros(n * n, dtype=np.int64)
-            moved[perm] = r
-            x = solver.solve(moved)
-            if x is None:
-                raise InternalInvariant("image is not invariant")
-            cols.append(x)
-        img_mats.append(np.array(cols, dtype=np.int64).T)
-    image = GLattice(group, img_mats, rank=hnf.shape[0],
-                     name="two-slot-image")
+    image = _sublattice_action(
+        group, solver, lambda g, rows: _move_pairs(group, g, rows),
+        "two-slot-image")
     m_rank = n * n - hnf.shape[0]
     data = MNQData(group, rho, ker, image, hnf, m_rank, torsion_free)
     if materialize_m is None:
@@ -596,14 +610,10 @@ def two_slot_extension(data: MNQData) -> LatticeSES:
     """0 -> Z -> Z[G] + Z[G] -> image -> 0 from the assembled sum map."""
     group = data.group
     reg2 = direct_sum(GLattice.regular(group), GLattice.regular(group))
-    solver = IntSolver(data.image_basis)
-    cols = []
-    for r in data.rho:
-        x = solver.solve(r)
-        if x is None:
-            raise InternalInvariant("generator escapes the image basis")
-        cols.append(x)
-    proj = np.array(cols, dtype=np.int64).T
+    x, ok = IntSolver(data.image_basis).solve(data.rho)
+    if not ok.all():
+        raise InternalInvariant("generator escapes the image basis")
+    proj = x.T
     inj = (-data.kernel.T if data.kernel[0, 0] < 0 else data.kernel.T)
     triv = GLattice.trivial(group)
     return LatticeSES(triv, reg2, data.image_lattice, inj, proj).verify()
@@ -867,13 +877,13 @@ class _CoverBlock:
         return sums.reshape(-1, self.images.shape[2])
 
 
-def _take_missing(span: IntSpan, candidates: np.ndarray, grow) -> List[int]:
+def _take_missing(span: IntSolver, candidates: np.ndarray, grow) -> List[int]:
     """Indices of the candidates, in order, that lie outside the span at the
     time they are reached; grow(i) gives the rows that choosing i brings."""
     chosen: List[int] = []
     at = 0
     while at < candidates.shape[0]:
-        out = np.flatnonzero(span.residues(candidates[at:]).any(axis=1))
+        out = np.flatnonzero(~span.solve(candidates[at:])[1])
         if out.size == 0:
             break
         at += int(out[0])
@@ -904,16 +914,16 @@ def _top_down_blocks(lat: GLattice) -> List[_CoverBlock]:
         if fixed.shape[0] == 0:
             continue
         norm = sum(lat.matrix(int(h)) for h in sub.elements)
-        span = IntSpan(lat.rank)
-        span.add(np.vstack([norm.T] + [b.orbit_sums(sub) for b in blocks]))
+        span = IntSolver(np.vstack([norm.T]
+                                   + [b.orbit_sums(sub) for b in blocks]))
         take = _take_missing(
             span, fixed,
             lambda i: _CoverBlock.of(lat, sub, fixed[i]).orbit_sums(sub))
         if take:
             blocks.append(_CoverBlock.of(lat, sub, fixed[take]))
-    span = IntSpan(lat.rank)
-    span.add(np.vstack([np.zeros((0, lat.rank), dtype=np.int64)]
-                       + [b.images.reshape(-1, lat.rank) for b in blocks]))
+    span = IntSolver(np.vstack([np.zeros((0, lat.rank), dtype=np.int64)]
+                               + [b.images.reshape(-1, lat.rank)
+                                  for b in blocks]))
     mats = np.stack([lat.matrix(g) for g in range(group.order)])
     take = _take_missing(span, np.eye(lat.rank, dtype=np.int64),
                          lambda i: mats[:, :, i])
@@ -978,21 +988,10 @@ def coflasque_resolution(lat: GLattice, trim: bool = True, pad_free: int = 0,
                      name="coflasque-cover")
     # column j*k + s of a block evaluates coset j of the block's row s
     ev = np.hstack([b.images.reshape(-1, lat.rank).T for b in blocks])
-    kernel_rows = int_left_kernel(ev.T)
-    solver = IntSolver(kernel_rows) if kernel_rows.shape[0] else None
-    rmats = []
-    for g in gens:
-        cols = []
-        for r in kernel_rows:
-            x = solver.solve(cover.apply(g, r))
-            if x is None:
-                raise InternalInvariant("kernel is not invariant")
-            cols.append(x)
-        rmats.append(np.array(cols, dtype=np.int64).T if cols
-                     else np.zeros((0, 0), dtype=np.int64))
-    kernel = GLattice(group, rmats, rank=kernel_rows.shape[0],
-                      name="coflasque-kernel")
-    ses = LatticeSES(kernel, cover, lat, kernel_rows.T, ev).verify()
+    solver = IntSolver(int_left_kernel(ev.T))
+    kernel = _sublattice_action(group, solver, cover.apply,
+                                "coflasque-kernel")
+    ses = LatticeSES(kernel, cover, lat, solver.hnf.T, ev).verify()
     out = CoflasqueResolution(ses, summands)
     if check:
         for sub in subgroup_classes(group):
@@ -1016,23 +1015,12 @@ def pullback_lattice(data: MNQData,
     group = data.group
     n2 = data.rho.shape[1]
     ev = resolution.ses.proj
-    rows = int_left_kernel(np.hstack([data.m_projection, -ev]).T)
-    solver = IntSolver(rows)
-    gens = group.generators()
-    mats = []
-    for g in gens:
-        perm = _product_perm(group, g)
-        cols = []
-        for r in rows:
-            x = np.zeros(n2, dtype=np.int64)
-            x[perm] = r[:n2]
-            p = resolution.cover.matrix(g) @ r[n2:]
-            sol = solver.solve(np.concatenate([x, p]))
-            if sol is None:
-                raise InternalInvariant("pullback is not invariant")
-            cols.append(sol)
-        mats.append(np.array(cols, dtype=np.int64).T)
-    out = GLattice(group, mats, rank=rows.shape[0], name="pullback-kernel")
+    solver = IntSolver(int_left_kernel(np.hstack([data.m_projection, -ev]).T))
+
+    def move(g, rows):
+        return np.hstack([_move_pairs(group, g, rows[:, :n2]),
+                          resolution.cover.apply(g, rows[:, n2:])])
+    out = _sublattice_action(group, solver, move, "pullback-kernel")
     for sub in subgroup_classes(group):
         if h1_integral(sub, out):
             raise CoflasquenessCheckFailed("pullback kernel is not coflasque")

@@ -160,8 +160,8 @@ class ModKSolver:
         rhs = rhs[None, :] if rhs.ndim == 1 else rhs
         if rhs.shape[1] != self.ncols:
             raise IncompatibleOperands("rhs has wrong width")
+        res = gf2_reduce(rhs, self.pivcols, self.echelon)
         q = rhs[:, self.pivcols].astype(np.float32)
-        res = rhs ^ f2_product(q, self.echelon)
         return f2_product(q, self.transform), ~res.any(axis=1)
 
 
@@ -334,12 +334,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        v = (np.asarray(v, dtype=np.int64) & 1).astype(np.uint8).copy()
-        for row, p in zip(self.basis, self._pivots):
-            if v[p]:
-                v ^= row
-        return v
+    def reduce(self, rows) -> np.ndarray:
+        """Residues of a vector, or of each row of a matrix, modulo the
+        subspace: zero exactly on its members."""
+        rows = np.asarray(rows, dtype=np.int64) & 1
+        res = gf2_reduce(np.atleast_2d(rows), self._pivots,
+                         self.basis.astype(np.float32))
+        return res.reshape(rows.shape).astype(np.uint8)
 
     def contains_vector(self, v) -> bool:
         return not self.reduce(v).any()
@@ -347,7 +348,7 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise IncompatibleOperands("ambient dimensions differ")
-        return all(self.contains_vector(r) for r in other.basis)
+        return not self.reduce(other.basis).any()
 
     def union(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
@@ -394,18 +395,6 @@ def _needs_object(work: np.ndarray, q: np.ndarray, row: np.ndarray) -> bool:
     return qa * ra + wa >= _INT64_GUARD
 
 
-def _to_object(*arrs):
-    out = []
-    for a in arrs:
-        if a is None:
-            out.append(None)
-        elif a.dtype == object:
-            out.append(a)
-        else:
-            out.append(a.astype(object))
-    return out
-
-
 def _abs_max(m: np.ndarray) -> int:
     """Largest absolute entry, as a Python int (0 when empty)."""
     if m.size == 0:
@@ -418,48 +407,34 @@ def _row_maxima(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=1, initial=0)
 
 
-def row_hnf(a, transform: bool = False):
-    """Row Hermite normal form. Returns (H, pivot_cols, T) with T @ a = H.
+def row_hnf(a):
+    """Row Hermite normal form. Returns (H, pivot_cols).
 
     Pivots are positive, entries above each pivot are reduced into [0, pivot),
     rows below the rank are zero and dropped. Falls back to Python ints
-    before an entry of H or T would leave the int64 guard; the check reads
+    before an entry of H would leave the int64 guard; the check reads
     per-row maxima, refreshed only on the rows a step changes.
     """
     work = _as_int_matrix(a)
     nrows, ncols = work.shape
-    tmat = None
-    if transform:
-        tmat = np.eye(nrows, dtype=work.dtype if work.dtype == object
-                      else np.int64)
-    # per-row maxima of |work| and |T| while both are int64, else None
+    # per-row maxima of |work| while it is int64, else None
     wmax = _row_maxima(work) if work.dtype != object else None
-    tmax = np.ones(nrows, dtype=np.int64) if tmat is not None else None
 
     def subtract(rows: np.ndarray, q: np.ndarray, src: int):
-        """work[rows] -= outer(q, work[src]), and the same on T."""
-        nonlocal work, tmat, wmax, tmax
-        if wmax is not None:
-            qa = int(np.abs(q).max())
-            over = qa * int(wmax[src]) + int(wmax[rows].max()) >= _INT64_GUARD
-            if tmax is not None:
-                over = over or (qa * int(tmax[src]) + int(tmax[rows].max())
-                                >= _INT64_GUARD)
-            if over:
-                work, tmat = _to_object(work, tmat)
-                wmax = tmax = None
+        """work[rows] -= outer(q, work[src])."""
+        nonlocal work, wmax
+        if wmax is not None and (int(np.abs(q).max()) * int(wmax[src])
+                                 + int(wmax[rows].max()) >= _INT64_GUARD):
+            work = work.astype(object)
+            wmax = None
         if wmax is None:
             q = q.astype(object)
         work[rows] -= np.outer(q, work[src])
-        if tmat is not None:
-            tmat[rows] -= np.outer(q, tmat[src])
         if wmax is not None:
             wmax[rows] = _row_maxima(work[rows])
-            if tmax is not None:
-                tmax[rows] = _row_maxima(tmat[rows])
 
     def swap(i: int, j: int):
-        for m in (work, tmat, wmax, tmax):
+        for m in (work, wmax):
             if m is not None:
                 m[[i, j]] = m[[j, i]]
 
@@ -478,8 +453,6 @@ def row_hnf(a, transform: bool = False):
                 swap(done, pick)
             if work[done, col] < 0:
                 work[done] = -work[done]
-                if tmat is not None:
-                    tmat[done] = -tmat[done]
             piv = work[done, col]
             q = work[done + 1:, col] // piv
             hit = np.nonzero(q)[0]
@@ -498,8 +471,7 @@ def row_hnf(a, transform: bool = False):
                     subtract(hit, q[hit], done)
             pivcols.append(col)
             done += 1
-    hnf = work[:done]
-    return hnf, pivcols, tmat
+    return work[:done], pivcols
 
 
 def int_left_kernel(a) -> np.ndarray:
@@ -509,7 +481,7 @@ def int_left_kernel(a) -> np.ndarray:
     aug = np.zeros((nrows, ncols + nrows), dtype=work.dtype)
     aug[:, :ncols] = work
     aug[:, ncols:] = np.eye(nrows, dtype=work.dtype if work.dtype != object else np.int64)
-    hnf, pivcols, _ = row_hnf(aug)
+    hnf, pivcols = row_hnf(aug)
     lead = [i for i, c in enumerate(pivcols) if c >= ncols]
     if not lead:
         return np.zeros((0, nrows), dtype=np.int64)
@@ -522,71 +494,40 @@ def int_left_kernel(a) -> np.ndarray:
 
 
 class IntSolver:
-    """Factored integer matrix for repeated exact solves x @ M = b."""
-
-    def __init__(self, mat):
-        self.mat = _as_int_matrix(mat)
-        self.ncols = self.mat.shape[1]
-        self.nrows = self.mat.shape[0]
-        self.hnf, self.pivcols, self.tmat = row_hnf(self.mat, transform=True)
-        self._matmax = _abs_max(self.mat)
-
-    def solve(self, b) -> Optional[np.ndarray]:
-        """x with x @ M = b, or None when b is outside the row lattice.
-
-        The answer is checked against M in exact arithmetic before it is
-        returned; a mismatch raises InternalInvariant.
-        """
-        b = _as_int_matrix(np.asarray(b).reshape(1, -1))[0]
-        res = b.astype(object) if self.hnf.dtype == object else b
-        x = np.zeros(self.nrows, dtype=self.hnf.dtype)
-        for i, c in enumerate(self.pivcols):
-            piv = self.hnf[i, c]
-            if res[c] % piv != 0:
-                return None
-            q = res[c] // piv
-            if q:
-                res = res - q * self.hnf[i]
-                x = x + q * self.tmat[i]
-        if np.any(res):
-            return None
-        # int64 is exact for the check when no partial sum can reach 2^63
-        if (x.dtype == object or self.mat.dtype == object or
-                _abs_max(x) * self._matmax * self.nrows >= 1 << 63):
-            back = x.astype(object) @ self.mat.astype(object)
-        else:
-            back = x @ self.mat
-        if not np.array_equal(back, b):
-            raise InternalInvariant("integer solve does not reproduce its rhs")
-        return x
-
-    def contains(self, b) -> bool:
-        return self.solve(b) is not None
-
-
-class IntSpan:
     """Integer row lattice kept in Hermite normal form as rows are added,
-    with membership read off residues against that form."""
+    with batched exact solves against that form."""
 
-    def __init__(self, width: int):
-        self.hnf = np.zeros((0, width), dtype=np.int64)
+    def __init__(self, rows):
+        rows = np.asarray(rows)
+        self.hnf = np.zeros((0, rows.shape[1]), dtype=np.int64)
         self.pivcols: List[int] = []
-        self._hmax: List[int] = []
+        self._hmax: List[int] = []    # per-row maxima of |hnf|, for the guard
+        self.add(rows)
 
     def add(self, rows) -> None:
-        rows = _as_int_matrix(rows)
+        rows = np.asarray(rows)
         if rows.shape[0]:
-            self.hnf, self.pivcols, _ = row_hnf(np.vstack([self.hnf, rows]))
+            self.hnf, self.pivcols = row_hnf(np.vstack([self.hnf, rows]))
             self._hmax = [_abs_max(r) for r in self.hnf]
 
-    def residues(self, rows) -> np.ndarray:
-        """The rows reduced by the basis; a row lies in the span exactly when
-        its residue is zero. Floor division leaves each pivot column in
-        [0, pivot), and later basis rows vanish there. Falls back to Python
-        ints before an entry could leave the int64 guard."""
-        res = _as_int_matrix(rows)
+    def solve(self, rows) -> Tuple[np.ndarray, np.ndarray]:
+        """Coordinates of the rows in the basis `hnf`: returns (X, ok), where
+        ok[i] says row i lies in the lattice and then X[i] @ hnf is row i.
+
+        One reduction in pivot order: floor division leaves each pivot
+        column in [0, pivot) and later basis rows vanish there, so a row is
+        a member exactly when its residue is zero, and the quotients are its
+        coordinates. Falls back to Python ints before an entry could leave
+        the int64 guard. Members are checked in exact arithmetic; a
+        mismatch raises InternalInvariant.
+        """
+        want = np.asarray(rows)
+        res = _as_int_matrix(want)
+        if res.ndim != 2 or res.shape[1] != self.hnf.shape[1]:
+            raise IncompatibleOperands("rows have the wrong width")
         if self.hnf.dtype == object:
             res = res.astype(object)
+        x = np.zeros((res.shape[0], len(self.pivcols)), dtype=res.dtype)
         bound = _abs_max(res) if res.dtype != object else 0
         for i, c in enumerate(self.pivcols):
             q = res[:, c] // self.hnf[i, c]
@@ -599,17 +540,27 @@ class IntSpan:
                 if bound + step >= _INT64_GUARD:
                     bound = _abs_max(res)
                 if bound + step >= _INT64_GUARD:
-                    res = res.astype(object)
-                    q = q.astype(object)
+                    res, x, q = (a.astype(object) for a in (res, x, q))
                 bound += step
+            x[hit, i] = q
             res[hit] -= np.outer(q, self.hnf[i])
-        return res
+        ok = ~(res != 0).any(axis=1)
+        xs = x[ok]
+        # float64 sums are exact while every partial sum stays below 2^53
+        if _abs_max(xs) * _abs_max(self.hnf) * len(self.pivcols) < 1 << 53:
+            back = (xs.astype(np.float64)
+                    @ self.hnf.astype(np.float64)).astype(np.int64)
+        else:
+            back = xs.astype(object) @ self.hnf.astype(object)
+        if not np.array_equal(back, want[ok]):
+            raise InternalInvariant("a solve does not reproduce its rows")
+        return x, ok
 
 
 def int_spans_equal(a, b) -> bool:
     """Do two integer row sets span the same lattice?"""
-    ha, pa, _ = row_hnf(a)
-    hb, pb, _ = row_hnf(b)
+    ha, pa = row_hnf(a)
+    hb, pb = row_hnf(b)
     return pa == pb and ha.shape == hb.shape and np.array_equal(ha, hb)
 
 
@@ -686,32 +637,19 @@ def quotient_invariant_factors(space_rows, sub_rows) -> List[int]:
     """Invariant factors (with multiplicity, 1s dropped) of span(space)/span(sub).
 
     Requires span(sub) <= span(space) over Z; rows of `sub` are expressed in
-    the basis extracted from `space` and the coefficient matrix goes through
-    Smith. Free quotient summands show up as trailing zeros.
+    the Hermite basis of `space` by one batched solve and the coefficient
+    matrix goes through Smith. Free quotient summands show up as trailing
+    zeros.
     """
-    space_rows = _as_int_matrix(space_rows)
-    sub_rows = _as_int_matrix(sub_rows)
-    basis, _, _ = row_hnf(space_rows)
-    if basis.shape[0] == 0:
-        if sub_rows.size and np.any(sub_rows):
-            raise IncompatibleOperands("sub is not inside space")
-        return []
-    solver = IntSolver(basis)
-    coeffs = []
-    for r in sub_rows:
-        x = solver.solve(r)
-        if x is None:
-            raise IncompatibleOperands("sub is not inside space")
-        coeffs.append(x[: basis.shape[0]])
-    if not coeffs:
-        return [0] * basis.shape[0]
-    cm = np.array(coeffs, dtype=object if basis.dtype == object else np.int64)
-    d = smith_normal_form(cm)
+    solver = IntSolver(space_rows)
+    coeffs, ok = solver.solve(sub_rows)
+    if not ok.all():
+        raise IncompatibleOperands("sub is not inside space")
+    d = smith_normal_form(coeffs)
     diag = [int(d[i, i]) for i in range(min(d.shape))]
     facs = [x for x in diag if x not in (0, 1)]
     rank = sum(1 for x in diag if x != 0)
-    facs += [0] * (basis.shape[0] - rank)
-    return facs
+    return facs + [0] * (len(solver.pivcols) - rank)
 
 
 def modk_quotient_invariant_factors(space, sub_rows, k: int) -> List[int]:

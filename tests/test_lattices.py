@@ -1,5 +1,6 @@
 """Lattice layer: actions, squares, sum-map quotients, covers, obstructions."""
 import dataclasses
+import hashlib
 import random
 
 import numpy as np
@@ -90,6 +91,16 @@ def test_apply_agrees_with_matrix():
             reg.matrix(g)
         with pytest.raises(ValidationError):
             GLattice.sign_lattice(d4).matrix(g)
+
+
+def test_apply_moves_a_batch_of_rows():
+    d4 = builtin_group("D4")
+    rng = np.random.default_rng(3)
+    for lat in (GLattice.regular(d4), builtin_lattice("M", d4)):
+        rows = rng.integers(-5, 6, size=(4, lat.rank))
+        for g in range(d4.order):
+            want = [lat.matrix(g) @ r for r in rows]
+            assert np.array_equal(lat.apply(g, rows), want)
 
 
 def test_regular_lattice_is_left_translation():
@@ -387,6 +398,14 @@ def test_h1_input_guards():
         h1_integral(c2, GLattice.trivial(c2, rank=301))
 
 
+def test_h1_integral_at_odd_order():
+    # the integral-cocycle branch: J = Z[C3]/(norm) has H^1 = Z/3
+    c3 = cyclic_group(3)
+    j = GLattice(c3, [np.array([[0, -1], [1, -1]])])
+    assert h1_integral(c3, j) == [3]
+    assert h1_integral(c3, GLattice.regular(c3)) == []
+
+
 def test_integral_cocycles_expand():
     c2 = builtin_group("C2")
     rows, expand = integral_cocycles(c2, [np.array([[-1]])])
@@ -546,7 +565,7 @@ def test_lattice_from_json_with_redundant_elements():
 def test_coker_projection_matches_pivot_reduction(name):
     g = builtin_group(name)
     data = build_mnq(g)
-    hnf, pivcols, _ = row_hnf(data.rho)
+    hnf, pivcols = row_hnf(data.rho)
     assert np.array_equal(hnf, data.image_basis)
     n2 = hnf.shape[1]
     free = [c for c in range(n2) if c not in set(pivcols)]
@@ -771,6 +790,85 @@ def test_phi_on_every_builtin_up_to_order_16(name):
     # up to order 8 a second, padded resolution must give the same answer
     g = builtin_group(name)
     assert phi(g, verify_independence=g.order <= 8) == []
+
+
+@pytest.mark.parametrize("group", [cyclic_group(3), cyclic_group(6),
+                                   dihedral_group(6)], ids=["C3", "C6", "D3"])
+def test_phi_vanishes_at_orders_3_and_6(group):
+    assert phi(group) == []
+
+
+def _digest(*arrays) -> str:
+    """First 16 hex digits of the sha256 of the arrays' shapes and int64
+    bytes."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.int64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _generator_matrices(lat):
+    return [lat.matrix(s) for s in lat.group.generators()]
+
+
+# digests of the bases and maps the integral constructions return: a change
+# of Hermite basis, of solve coordinates or of preimage shows up here
+LATTICE_PINS = {
+    "C2": {"image": "d68126667c5caf13", "cover": "1ac76107313a8d89",
+           "kernel": "9d37e282dff85f7c", "pad_free": "8ca42a1db8d53d63",
+           "two_slot": "233a9025a708bf12", "exterior": "5cde56d954e1e23d",
+           "pullback": "5ae52d859c7940ad"},
+    "C4": {"image": "19623b95b6fd94ac", "cover": "3ee466fd0c343c98",
+           "kernel": "9d37e282dff85f7c", "pad_free": "97d5f07bf76fc4ca",
+           "two_slot": "f3cd483edae8c00e", "exterior": "c6483e15b6899db6",
+           "pullback": "e967123b296db3ff"},
+    "V4": {"image": "2835453b2841c576", "cover": "334aa6933ad88743",
+           "kernel": "c7f738a43330bffd", "pad_free": "2c5b86acd86074f6",
+           "two_slot": "f3cd483edae8c00e", "exterior": "c6483e15b6899db6",
+           "pullback": "e89005e083ccae13"},
+    "C8": {"image": "5459098cd0847fe2", "cover": "a5e705859e0a91cb",
+           "kernel": "9d37e282dff85f7c", "pad_free": "bdf7b11306ce4440",
+           "two_slot": "3721ce1b61a019fa", "exterior": "59fdcec4ef486d18"},
+    "C4xC2": {"image": "682b1d3cbe722fd0", "cover": "cad74de02e796bbe",
+              "kernel": "928c775726474477", "pad_free": "1de3d5205075d6b5",
+              "two_slot": "3721ce1b61a019fa", "exterior": "59fdcec4ef486d18"},
+    "C2xC2xC2": {"image": "147e508b5ecbd4eb", "cover": "9f9c61d21349ea57",
+                 "kernel": "f7227e34ec802e2c", "pad_free": "512709c8c14a4b8b",
+                 "two_slot": "3721ce1b61a019fa",
+                 "exterior": "59fdcec4ef486d18"},
+    "D4": {"image": "1e69d3f9ea29425c", "cover": "0bc066bfe12ff367",
+           "kernel": "d2e31a5ce704a22e", "pad_free": "a22a6dcf0e9b38bb",
+           "two_slot": "3721ce1b61a019fa", "exterior": "59fdcec4ef486d18"},
+    "Q8": {"image": "9103c45f37eec8f8", "cover": "c99afa974ca4cab8",
+           "kernel": "3591351518a683a3", "pad_free": "11f3beb693778c20",
+           "two_slot": "3721ce1b61a019fa", "exterior": "59fdcec4ef486d18"},
+}
+
+
+@pytest.mark.parametrize("name", list(LATTICE_PINS))
+def test_lattice_constructions_keep_their_bytes(name):
+    g = builtin_group(name)
+    data = build_mnq(g)
+    res = coflasque_resolution(data.m_lattice)
+    pad = coflasque_resolution(data.m_lattice, pad_free=1)
+    two = two_slot_extension(data)
+    ext = exterior_of_rank_one_extension(two)
+    got = {
+        "image": _digest(data.image_basis,
+                         *_generator_matrices(data.image_lattice)),
+        "cover": _digest(res.ses.proj, res.ses.inj),
+        "kernel": _digest(*_generator_matrices(res.kernel_lattice)),
+        "pad_free": _digest(pad.ses.inj,
+                            *_generator_matrices(pad.kernel_lattice)),
+        "two_slot": _digest(two.proj),
+        "exterior": _digest(ext.inj, ext.proj),
+    }
+    if g.order <= 4:
+        got["pullback"] = _digest(
+            *_generator_matrices(pullback_lattice(data, res)))
+    assert got == LATTICE_PINS[name]
 
 
 def test_phi_order_budget():

@@ -14,7 +14,6 @@ from cohlat.linalg import (
     GF2Matrix,
     HowellForm,
     IntSolver,
-    IntSpan,
     ModKSolver,
     Subspace,
     howell_form,
@@ -193,6 +192,24 @@ def test_subspace_canonical_and_ops():
     assert Subspace.span([v2, v1], 4) == Subspace.span([v1, v2, [1, 1, 0, 0]], 4)
 
 
+def test_subspace_reduce_matches_the_row_loop():
+    # one BLAS product per batch against the reduction one basis row at a time
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        space = Subspace.span(rng.integers(0, 2, size=(int(rng.integers(0, 8)), n)), n)
+        vecs = rng.integers(0, 2, size=(6, n))
+        vecs[:2] = rng.integers(0, 2, size=(2, space.dim)) @ space.basis % 2
+        want = vecs.astype(np.uint8)
+        for row, p in zip(space.basis, space._pivots):
+            want[want[:, p] == 1] ^= row
+        assert np.array_equal(space.reduce(vecs), want)
+        assert [space.contains_vector(v) for v in vecs] == \
+            (~want.any(axis=1)).tolist()
+        assert not want[:2].any()
+        assert space.contains(Subspace.span(vecs[:2], n))
+
+
 def test_smith_hand_checked_diagonal():
     d = smith_normal_form(np.diag([6, 4]))
     assert d.tolist() == [[2, 0], [0, 12]]
@@ -247,35 +264,84 @@ def test_smith_large_entries_object_fallback():
     assert _check_smith_form(np.array(rows), d) == _smith_diagonal_by_minors(rows)
 
 
+def _ref_row_hnf(a):
+    """Row HNF with its transform, (H, pivot_cols, T) with T @ a = H plus
+    zero rows, in Python ints: the per-row solver's factorization."""
+    work = np.array(a, dtype=object)
+    nrows, ncols = work.shape
+    tmat = np.eye(nrows, dtype=np.int64).astype(object)
+    done = 0
+    pivcols = []
+    for col in range(ncols):
+        if done == nrows:
+            break
+        while True:
+            nz = np.nonzero(work[done:, col])[0]
+            if nz.size == 0:
+                break
+            pick = done + int(nz[np.argmin(np.abs(work[done + nz, col]))])
+            sign = -1 if work[pick, col] < 0 else 1
+            for m in (work, tmat):
+                m[[done, pick]] = m[[pick, done]]
+                m[done] *= sign
+            q = work[done + 1:, col] // work[done, col]
+            if not np.any(q):
+                if not np.any(work[done + 1:, col]):
+                    break
+                continue
+            for m in (work, tmat):
+                m[done + 1:] -= np.outer(q, m[done])
+        if work[done, col]:
+            q = work[:done, col] // work[done, col]
+            for m in (work, tmat):
+                m[:done] -= np.outer(q, m[done])
+            pivcols.append(col)
+            done += 1
+    return work[:done], pivcols, tmat
+
+
+def _ref_solve(a, b):
+    """x with x @ a = b, or None: one row reduced against the HNF of a while
+    the transform rows accumulate."""
+    hnf, pivcols, tmat = _ref_row_hnf(a)
+    res = np.array(b, dtype=object)
+    x = np.zeros(len(a), dtype=object)
+    for i, c in enumerate(pivcols):
+        if res[c] % hnf[i, c]:
+            return None
+        q = res[c] // hnf[i, c]
+        res = res - q * hnf[i]
+        x = x + q * tmat[i]
+    return None if np.any(res) else x
+
+
 @pytest.mark.parametrize("scale", [1, 1 << 45])
-def test_int_span_membership_matches_the_solver(scale):
-    # residues vanish exactly on the lattice IntSolver solves in; the large
-    # scale pushes the reduction past the int64 guard
+def test_int_solver_matches_the_per_row_reference(scale):
+    # the large scale pushes the reduction past the int64 guard
     rng = np.random.default_rng(7)
     for _ in range(25):
         w = int(rng.integers(1, 7))
         chunks = [rng.integers(-4, 5, size=(int(rng.integers(0, 4)), w))
                   for _ in range(3)]
-        span = IntSpan(w)
-        for c in chunks:
-            span.add(c * scale)
-        rows = np.vstack(chunks)
+        solver = IntSolver(chunks[0] * scale)
+        for c in chunks[1:]:
+            solver.add(c * scale)
+        rows = np.vstack(chunks).astype(object) * scale
         members = rng.integers(-3, 4, size=(4, rows.shape[0])) @ rows
-        cands = np.vstack([members, rng.integers(-6, 7, size=(6, w))])
-        cands = cands * scale
-        res = span.residues(cands)
-        solver = IntSolver(rows.astype(object) * scale) if rows.size else None
-        for cand, r in zip(cands, res):
-            inside = solver is not None and solver.contains(cand)
-            inside = inside or (solver is None and not np.any(cand))
-            assert (not np.any(r)) == inside
-        assert not np.any(res[:len(members)])
+        cands = np.vstack([members, rng.integers(-6, 7, size=(6, w)) * scale])
+        x, ok = solver.solve(cands.astype(np.int64))
+        want = [_ref_solve(rows, c) is not None for c in cands]
+        assert ok.tolist() == want
+        assert ok[:len(members)].all()
+        assert np.array_equal(x[ok].astype(object) @ solver.hnf.astype(object),
+                              cands[ok])
+        assert np.array_equal(solver.hnf, _ref_row_hnf(rows)[0])
     # q = 2^30 against a row entry 2^40: the product 2^70 wraps to 0 in int64
-    span = IntSpan(2)
-    span.add(np.array([[1, 1 << 40]]))
+    solver = IntSolver(np.array([[1, 1 << 40]]))
     far = np.array([[1 << 30, 0]])
-    assert np.any(span.residues(far))
-    assert not np.any(span.residues(far.astype(object) + [[0, 1 << 70]]))
+    assert not solver.solve(far)[1].any()
+    x, ok = solver.solve(far.astype(object) + [[0, 1 << 70]])
+    assert ok.all() and x.tolist() == [[1 << 30]]
 
 
 def test_int_kernel_and_solve():
@@ -287,19 +353,21 @@ def test_int_kernel_and_solve():
         assert not np.any(ker @ a)
         # saturated: kernel of 2x must equal kernel of x
         assert int_spans_equal(ker, int_left_kernel(2 * a)) or ker.shape[0] == 0
+        # the kernel basis is its own Hermite form
+        assert np.array_equal(IntSolver(ker).hnf, ker)
         x = np.array([rng.randint(-3, 3) for _ in range(nr)])
         b = x @ a
-        y = IntSolver(a).solve(b)
-        assert y is not None and np.array_equal(y @ a, b)
+        solver = IntSolver(a)
+        y, ok = solver.solve(b[None, :])
+        assert ok.all() and np.array_equal(y[0] @ solver.hnf, b)
     two = IntSolver(np.array([[2, 0], [0, 2]]))
-    assert two.solve(np.array([1, 0])) is None
+    assert not two.solve(np.array([[1, 0]]))[1].any()
 
 
 def test_int_solver_membership():
     a = np.array([[2, 1, 0], [0, 3, 1]])
-    s = IntSolver(a)
-    assert s.contains(np.array([2, 4, 1]))
-    assert not s.contains(np.array([1, 0, 0]))
+    _, ok = IntSolver(a).solve(np.array([[2, 4, 1], [1, 0, 0]]))
+    assert ok.tolist() == [True, False]
 
 
 def test_quotient_invariant_factors():
@@ -623,29 +691,29 @@ _HNF_WRAP_CASE = [
                         min_size=nr, max_size=nr))))
 @example(_HNF_WRAP_CASE)
 def test_hnf_transform_is_exact_and_unimodular(rows):
+    # the Python-int reference carries T; row_hnf must give its H and pivots
     a = np.array(rows, dtype=np.int64)
-    h, pivcols, t = row_hnf(a, transform=True)
+    ref, ref_piv, t = _ref_row_hnf(a)
     tt = [[int(x) for x in r] for r in t]
-    hh = [[int(x) for x in r] for r in h]
+    hh = [[int(x) for x in r] for r in ref]
     zeros = [[0] * a.shape[1]] * (a.shape[0] - len(hh))
     assert _int_matmul(tt, rows) == hh + zeros
     assert abs(_int_det(tt)) == 1
-    assert len(pivcols) == len(hh)
+    h, pivcols = row_hnf(a)
+    assert [[int(x) for x in r] for r in h] == hh
+    assert pivcols == ref_piv
     assert all(hh[i][c] > 0 for i, c in enumerate(pivcols))
-    # the same H without a transform
-    assert [[int(x) for x in r] for r in row_hnf(a)[0]] == hh
 
 
 def test_int_solver_rejects_a_corrupted_factorization():
-    a = np.array([[2, 1, 0], [0, 3, 1], [1, 1, 1]], dtype=np.int64)
-    solver = IntSolver(a)
-    b = np.array([3, 5, 2], dtype=np.int64)
-    x = solver.solve(b)
-    assert np.array_equal(x @ a, b)
-    solver.tmat = solver.tmat.copy()
-    solver.tmat[0, 0] += 1
+    # zeroed row maxima blind the int64 guard: 2^30 * 2^40 wraps to 0, the
+    # reduction calls the row a member, and the exact check must object
+    solver = IntSolver(np.array([[1, 1 << 40]]))
+    far = np.array([[1 << 30, 0]])
+    assert not solver.solve(far)[1].any()
+    solver._hmax = [0] * len(solver._hmax)
     with pytest.raises(InternalInvariant):
-        solver.solve(b)
+        solver.solve(far)
 
 
 # ---------------------------------------------------------------------------

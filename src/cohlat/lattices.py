@@ -36,7 +36,7 @@ class GLattice:
 
     def __init__(self, group: FiniteGroup, gen_actions, *,
                  rank: Optional[int] = None, permutation: bool = False,
-                 labels=None, mod2_mask: Optional[np.ndarray] = None,
+                 mod2_mask: Optional[np.ndarray] = None,
                  name: str = "", validate: bool = True):
         self.group = group
         gens = group.generators()
@@ -61,7 +61,6 @@ class GLattice:
         if rank is not None and rank != self.rank:
             raise ValidationError("stated rank disagrees with the matrices")
         self.permutation = permutation
-        self.labels = labels
         self.mod2_mask = (np.asarray(mod2_mask, dtype=bool)
                           if mod2_mask is not None else None)
         self.name = name
@@ -181,7 +180,7 @@ class GLattice:
         acts = [(group.table[g, :].astype(np.int64), ones.copy())
                 for g in gens]
         return cls(group, acts, rank=group.order, permutation=True,
-                   labels=list(range(group.order)), name="regular")
+                   name="regular")
 
     @classmethod
     def trivial(cls, group: FiniteGroup, rank: int = 1) -> "GLattice":
@@ -326,11 +325,11 @@ def lambda2(lat: GLattice) -> GLattice:
                 pp[col] = idx[(a, b)]
                 ss[col] = sign
             acts.append((pp, ss))
-        return GLattice(lat.group, acts, rank=len(pairs), labels=pairs,
-                        name=name, validate=False)
+        return GLattice(lat.group, acts, rank=len(pairs), name=name,
+                        validate=False)
     mats = [_wedge_matrix(lat.matrix(g)) for g in gens]
     # functorial: relations hold because minors are multiplicative
-    return GLattice(lat.group, mats, rank=len(pairs), labels=pairs, name=name,
+    return GLattice(lat.group, mats, rank=len(pairs), name=name,
                     validate=False)
 
 
@@ -361,11 +360,8 @@ def gamma2(lat: GLattice) -> GLattice:
         bot = np.hstack([_diag_block(a), a % 2])
         mats.append(np.vstack([top, bot]))
     mask = np.array([False] * m + [True] * n)
-    labels = [("pair", i, j) for (i, j) in pairs] + \
-        [("square", i) for i in range(n)]
     return GLattice(lat.group, mats, rank=m + n, mod2_mask=mask,
-                    labels=labels, name=f"star2({lat.name or '?'})",
-                    validate=False)
+                    name=f"star2({lat.name or '?'})", validate=False)
 
 
 def mod2_reduction(lat: GLattice) -> GLattice:
@@ -406,13 +402,12 @@ class LatticeSES:
         if sub_masked:
             if GF2Matrix.from_dense(self.inj.T % 2).rank() != self.sub.rank:
                 raise ValidationError("injection is not injective mod 2")
-        else:
-            if len(invariant_factors(self.inj, drop_ones=False)) != \
-                    self.sub.rank:
-                raise ValidationError("injection drops rank")
+        elif len(row_hnf(self.inj)[1]) != self.sub.rank:
+            raise ValidationError("injection drops rank")
         if self.quo.mod2_mask is None:
-            facs = invariant_factors(self.proj, drop_ones=False)
-            if len(facs) != self.quo.rank or any(f != 1 for f in facs):
+            # onto exactly when the columns span Z^q: proj^T has HNF I_q
+            hnf, _ = row_hnf(self.proj.T)
+            if not np.array_equal(hnf, np.eye(self.quo.rank, dtype=np.int64)):
                 raise ValidationError("projection is not onto")
         else:
             if GF2Matrix.from_dense(self.proj % 2).rank() != self.quo.rank:
@@ -934,8 +929,8 @@ def _top_down_blocks(lat: GLattice) -> List[_CoverBlock]:
     return blocks
 
 
-def coflasque_resolution(lat: GLattice, trim: bool = True, pad_free: int = 0,
-                         check: bool = True) -> CoflasqueResolution:
+def coflasque_resolution(lat: GLattice, trim: bool = True,
+                         pad_free: int = 0) -> CoflasqueResolution:
     """Permutation cover with coflasque kernel, verified subgroup by subgroup.
 
     The cover is a sum of coset lattices tensored with fixed rows of the
@@ -992,15 +987,13 @@ def coflasque_resolution(lat: GLattice, trim: bool = True, pad_free: int = 0,
     kernel = _sublattice_action(group, solver, cover.apply,
                                 "coflasque-kernel")
     ses = LatticeSES(kernel, cover, lat, solver.hnf.T, ev).verify()
-    out = CoflasqueResolution(ses, summands)
-    if check:
-        for sub in subgroup_classes(group):
-            bad = h1_integral(sub, kernel)
-            if bad:
-                raise CoflasquenessCheckFailed(
-                    f"kernel has degree-one cohomology {bad} at a subgroup "
-                    f"of order {sub.order}")
-    return out
+    for sub in subgroup_classes(group):
+        bad = h1_integral(sub, kernel)
+        if bad:
+            raise CoflasquenessCheckFailed(
+                f"kernel has degree-one cohomology {bad} at a subgroup "
+                f"of order {sub.order}")
+    return CoflasqueResolution(ses, summands)
 
 
 def pullback_lattice(data: MNQData,

@@ -6,6 +6,7 @@ Everything is deterministic: same input, same bytes out.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -131,24 +132,23 @@ class ModKSolver:
     """Factored form of a matrix mod 2 for repeated solves x @ M = b.
 
     The factor is the packed reduced echelon form: pivot columns `pivcols`,
-    echelon rows H and transform T with T @ M = H over F2, both held as
-    float32. Every other H row vanishes in a pivot column, so a residue is
-    b + b[piv] @ H and a solution b[piv] @ T: two BLAS products, exact for
-    0/1 sums below 2^24. Only k = 1 is factored; quotients mod 2^k read
-    their coordinates off a Howell form instead.
+    echelon rows H and transform T with T @ M = H over F2, held side by
+    side as one float32 array [H | T]; `echelon` and `transform` are its
+    column views. Every other H row vanishes in a pivot column, so
+    b[piv] @ [H | T] gives the residue b + b[piv] @ H and the solution
+    b[piv] @ T in one BLAS product, exact for 0/1 sums below 2^24.
+    Quotients mod 2^k read their coordinates off a Howell form instead.
     """
 
-    def __init__(self, mat: np.ndarray, k: int):
-        if k != 1:
-            raise IncompatibleOperands(
-                f"ModKSolver factors mod 2 only, not mod 2^{k}")
-        self.k = k
+    def __init__(self, mat: np.ndarray):
         self.ncols = mat.shape[1]
         red, pivots, tm = GF2Matrix.from_dense(mat).rref(transform=True)
         r = len(pivots)
         self.pivcols = np.array(pivots, dtype=np.int64)
-        self.echelon = red.head(r).to_dense().astype(np.float32)
-        self.transform = tm.head(r).to_dense().astype(np.float32)
+        self.factor = np.hstack([red.head(r).to_dense(),
+                                 tm.head(r).to_dense()]).astype(np.float32)
+        self.echelon = self.factor[:, :self.ncols]
+        self.transform = self.factor[:, self.ncols:]
 
     def solve_many(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Solve x @ M = b mod 2 for each row b of rhs (a vector is one row).
@@ -160,9 +160,9 @@ class ModKSolver:
         rhs = rhs[None, :] if rhs.ndim == 1 else rhs
         if rhs.shape[1] != self.ncols:
             raise IncompatibleOperands("rhs has wrong width")
-        res = gf2_reduce(rhs, self.pivcols, self.echelon)
-        q = rhs[:, self.pivcols].astype(np.float32)
-        return f2_product(q, self.transform), ~res.any(axis=1)
+        prod = f2_product(rhs[:, self.pivcols].astype(np.float32), self.factor)
+        res = rhs ^ prod[:, :self.ncols]
+        return prod[:, self.ncols:], ~res.any(axis=1)
 
 
 def kernel_basis_modk(mat: np.ndarray, k: int) -> HowellForm:
@@ -383,16 +383,7 @@ def _as_int_matrix(a) -> np.ndarray:
     arr = np.asarray(a)
     if arr.dtype == object:
         return arr.copy()
-    return arr.astype(np.int64, copy=True)
-
-
-def _needs_object(work: np.ndarray, q: np.ndarray, row: np.ndarray) -> bool:
-    if work.dtype == object:
-        return False
-    qa = int(np.abs(q).max(initial=0))
-    ra = int(np.abs(row).max(initial=0))
-    wa = int(np.abs(work).max(initial=0))
-    return qa * ra + wa >= _INT64_GUARD
+    return arr.astype(np.int64, order="C", copy=True)
 
 
 def _abs_max(m: np.ndarray) -> int:
@@ -567,70 +558,36 @@ def int_spans_equal(a, b) -> bool:
 def smith_normal_form(a) -> np.ndarray:
     """Smith normal form D over Z: U @ a @ V = D for some unimodular U, V,
     with the nonzero diagonal d1 | d2 | ... positive and everything else
-    zero. Falls back to Python ints before an entry would leave the int64
-    guard.
+    zero. D holds Python ints when `a` does or an entry reaches the int64
+    guard, else int64.
+
+    Read off Hermite forms (Storjohann 2000): row_hnf alternates between
+    the matrix and its transpose until the matrix is diagonal. A round's
+    first pivot is the gcd of the last round's first row: it shrinks, or
+    it divides that row and its row and column clear, after which the
+    rest of the matrix goes on alone. The diagonal is then put in
+    divisibility order by gcd/lcm swaps in Python ints.
     """
-    work = _as_int_matrix(a)
-    nrows, ncols = work.shape
-
-    def guard(q, vec):
-        """Go to Python ints unless work -= outer(q, vec) stays in int64."""
-        nonlocal work
-        if _needs_object(work, np.atleast_1d(q), vec):
-            work = work.astype(object)
-
-    t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        sub = work[t:, t:]
-        nz = np.nonzero(sub)
-        if nz[0].size == 0:
-            break
-        vals = np.abs(sub[nz])
-        j = int(np.argmin(vals))
-        pr, pc = int(nz[0][j]) + t, int(nz[1][j]) + t
-        if pr != t:
-            work[[t, pr]] = work[[pr, t]]
-        if pc != t:
-            work[:, [t, pc]] = work[:, [pc, t]]
-        if work[t, t] < 0:
-            work[t] = -work[t]
-        piv = work[t, t]
-        col = work[t + 1:, t]
-        row = work[t, t + 1:]
-        qc = col // piv
-        qr = row // piv
-        if np.any(qc) or np.any(qr):
-            guard(np.concatenate([np.atleast_1d(qc), np.atleast_1d(qr)]),
-                  work[t])
-            if np.any(qc):
-                qc = work[t + 1:, t] // work[t, t]
-                work[t + 1:] -= np.outer(qc, work[t])
-            if np.any(qr):
-                qr = work[t, t + 1:] // work[t, t]
-                work[:, t + 1:] -= np.outer(work[:, t], qr)
-            continue  # remainders may now be smaller than the pivot
-        if np.any(work[t + 1:, t]) or np.any(work[t, t + 1:]):
-            continue
-        rest = work[t + 1:, t + 1:]
-        if rest.size and piv > 1:
-            bad = np.nonzero(rest % piv)
-            if bad[0].size:
-                r = int(bad[0][0]) + t + 1
-                guard(1, work[r])
-                work[t] += work[r]
-                continue
-        t += 1
-    return work
-
-
-def invariant_factors(a, drop_ones: bool = True) -> List[int]:
-    """Nonzero Smith invariant factors of an integer matrix."""
-    d = smith_normal_form(a)
-    out = [int(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0]
-    if drop_ones:
-        out = [x for x in out if x != 1]
+    arr = np.asarray(a)
+    work, _ = row_hnf(arr)
+    r = work.shape[0]
+    while work.shape[1] != r or np.count_nonzero(work) != r:
+        work, _ = row_hnf(work.T)
+    diag = [int(x) for x in work.diagonal()]
+    for i in range(r):
+        for j in range(i + 1, r):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    big = arr.dtype == object or (r and diag[-1] >= _INT64_GUARD)
+    out = np.zeros(arr.shape, dtype=object if big else np.int64)
+    out[np.arange(r), np.arange(r)] = diag
     return out
+
+
+def invariant_factors(a) -> List[int]:
+    """Smith invariant factors of an integer matrix, 0s and 1s dropped."""
+    d = smith_normal_form(a)
+    return [int(x) for x in d.diagonal() if x not in (0, 1)]
 
 
 def quotient_invariant_factors(space_rows, sub_rows) -> List[int]:

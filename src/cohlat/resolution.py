@@ -34,8 +34,7 @@ class GModuleComplex:
     """
 
     def __init__(self, group: FiniteGroup, modulus_exp: int,
-                 amb_group: Optional[FiniteGroup] = None,
-                 act_map: Optional[np.ndarray] = None):
+                 amb_group: Optional[FiniteGroup] = None):
         if not 1 <= modulus_exp <= MAX_MOD_EXP:
             raise ValidationError(
                 f"modulus exponent must be in 1..{MAX_MOD_EXP}")
@@ -43,9 +42,6 @@ class GModuleComplex:
         self.k = modulus_exp
         self.mod = 1 << modulus_exp
         self.amb_group = amb_group if amb_group is not None else group
-        self.act_map = (np.asarray(act_map, dtype=np.int64)
-                        if act_map is not None
-                        else np.arange(group.order, dtype=np.int64))
         self.ranks: List[int] = []
         self.dims: List[int] = []
         self.boundaries: List[Optional[np.ndarray]] = []
@@ -134,7 +130,7 @@ class GModuleComplex:
         with self._lock:
             s = self._solvers.get(degree)
             if s is None:
-                s = ModKSolver(self.boundaries[degree], 1)
+                s = ModKSolver(self.boundaries[degree])
                 self._solvers[degree] = s
         return s
 
@@ -260,11 +256,11 @@ def restrict_complex(cx: GModuleComplex, sub: Subgroup) -> GModuleComplex:
     if cx.amb_group is not cx.group:
         raise IncompatibleOperands("can only restrict a plain resolution")
     parent = cx.group
-    hgrp, to_global = sub.as_group()
+    hgrp, _ = sub.as_group()
     cosidx, hloc = sub.right_coset_table()
     n = parent.order
     ncos = sub.index
-    out = GModuleComplex(hgrp, cx.k, amb_group=parent, act_map=to_global)
+    out = GModuleComplex(hgrp, cx.k, amb_group=parent)
     for i in range(cx.top_degree + 1):
         amb_elt = np.tile(np.arange(n, dtype=np.int64), cx.ranks[i])
         amb_gen = np.repeat(np.arange(cx.ranks[i], dtype=np.int64), n)

@@ -11,7 +11,7 @@ from cohlat.errors import (BudgetExceeded, CoflasquenessCheckFailed,
                            NotRankOneKernel, ValidationError)
 from cohlat.groups import (Subgroup, builtin_group, cyclic_group,
                            dihedral_group, subgroup_classes)
-from cohlat import lattices
+from cohlat import lattices, linalg
 from cohlat.lattices import (GLattice, LatticeSES, _coboundary_rows_mod2,
                              _diag_block, _product_perm, _schreier_walk,
                              _wedge_matrix, alpha_image, build_mnq,
@@ -245,6 +245,34 @@ def test_ses_verify_rejects_bad_maps():
     with pytest.raises(ValidationError):
         LatticeSES(triv, reg, triv, np.array([[1], [0]]),
                    np.array([[0, 1]])).verify()
+
+
+def test_ses_verify_rejects_a_full_rank_projection_that_is_not_onto():
+    c2 = builtin_group("C2")
+    triv = GLattice.trivial(c2)
+    zero = GLattice(c2, [np.zeros((0, 0), dtype=np.int64)], rank=0)
+    with pytest.raises(ValidationError, match="not onto"):
+        LatticeSES(zero, triv, triv, np.zeros((1, 0), dtype=np.int64),
+                   np.array([[2]])).verify()
+    two = direct_sum(triv, triv)
+    with pytest.raises(ValidationError, match="not onto"):
+        LatticeSES(triv, two, triv, np.array([[1], [0]]),
+                   np.array([[0, 2]])).verify()
+    LatticeSES(triv, two, triv, np.array([[1], [0]]),
+               np.array([[0, 1]])).verify()
+
+
+def test_ses_verify_rejects_an_injection_that_drops_rank():
+    c2 = builtin_group("C2")
+    sub = GLattice.trivial(c2, rank=2)
+    mid = GLattice.trivial(c2, rank=3)
+    quo = GLattice.trivial(c2)
+    proj = np.array([[0, 0, 1]])
+    with pytest.raises(ValidationError, match="drops rank"):
+        LatticeSES(sub, mid, quo, np.array([[1, 2], [1, 2], [0, 0]]),
+                   proj).verify()
+    LatticeSES(sub, mid, quo, np.array([[1, 2], [1, 3], [0, 0]]),
+               proj).verify()
 
 
 def test_ses_verify_rejects_partial_mask():
@@ -777,6 +805,19 @@ def test_pullback_lattice_is_coflasque():
 @pytest.mark.parametrize("name", ["C2", "C4"])
 def test_phi_vanishes_on_small_groups(name):
     assert phi(builtin_group(name)) == []
+
+
+def test_phi_on_a_2_group_makes_no_smith_call(monkeypatch):
+    # exactness is read off Hermite forms, degree-one cohomology mod |H|
+    calls = []
+    smith = linalg.smith_normal_form
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return smith(a)
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    assert phi(builtin_group("C4")) == []
+    assert calls == []
 
 
 def test_phi_independence_check():

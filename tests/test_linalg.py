@@ -26,7 +26,7 @@ from cohlat.linalg import (
     row_hnf,
     smith_normal_form,
 )
-from cohlat.linalg import _local_invariant_factors
+from cohlat.linalg import _INT64_GUARD, _local_invariant_factors
 
 
 def _naive_span_modk(rows, k, width=None):
@@ -127,10 +127,8 @@ def test_modk_solver_roundtrip():
         m = 1 << k
         a = np.array([[rng.randrange(m) for _ in range(6)] for _ in range(4)])
         if k == 1:
-            solve = ModKSolver(a, k).solve_many
+            solve = ModKSolver(a).solve_many
         else:
-            with pytest.raises(IncompatibleOperands):
-                ModKSolver(a, k)
             solve = lambda b: _ref_solve_many(a, k, b[None, :])
         for _ in range(10):
             x = np.array([rng.randrange(m) for _ in range(4)])
@@ -586,8 +584,11 @@ def test_modulus_budget_fits_the_narrow_words():
 
 def _check_f2_solver_matches_howell(a, rhs):
     ref_h, ref_piv, ref_t = _ref_howell_form(a, 1, transform=True)
-    s = ModKSolver(a, 1)
+    s = ModKSolver(a)
     assert s.echelon.dtype == s.transform.dtype == np.float32
+    # both are column views of the one factor [H | T]
+    assert s.factor.shape == (len(ref_piv), a.shape[1] + a.shape[0])
+    assert s.echelon.base is s.factor and s.transform.base is s.factor
     assert [int(c) for c in s.pivcols] == [c for c, _ in ref_piv]
     assert np.array_equal(s.echelon, ref_h)
     assert np.array_equal(s.transform, ref_t)
@@ -668,6 +669,102 @@ def test_smith_diagonal_is_exact_on_random_input(rows):
         # d1 is the gcd of the entries, and the rank is the rank over Q
         assert diag[0] == math.gcd(*[x for r in rows for x in r])
         assert sum(1 for x in diag if x) == np.linalg.matrix_rank(a.astype(float))
+
+
+def _ref_smith_normal_form(a):
+    """Smith normal form by the row-and-column elimination it was computed
+    with before Hermite forms: the differential reference. It leaves int64
+    once any step could reach the guard, rescanning the whole matrix."""
+    arr = np.asarray(a)
+    work = arr.copy() if arr.dtype == object else arr.astype(np.int64)
+    nrows, ncols = work.shape
+
+    def guard(q, vec):
+        nonlocal work
+        if work.dtype != object and (
+                int(np.abs(q).max(initial=0)) * int(np.abs(vec).max(initial=0))
+                + int(np.abs(work).max(initial=0)) >= _INT64_GUARD):
+            work = work.astype(object)
+
+    t = 0
+    while t < min(nrows, ncols):
+        sub = work[t:, t:]
+        nz = np.nonzero(sub)
+        if nz[0].size == 0:
+            break
+        j = int(np.argmin(np.abs(sub[nz])))
+        pr, pc = int(nz[0][j]) + t, int(nz[1][j]) + t
+        if pr != t:
+            work[[t, pr]] = work[[pr, t]]
+        if pc != t:
+            work[:, [t, pc]] = work[:, [pc, t]]
+        if work[t, t] < 0:
+            work[t] = -work[t]
+        piv = work[t, t]
+        qc = work[t + 1:, t] // piv
+        qr = work[t, t + 1:] // piv
+        if np.any(qc) or np.any(qr):
+            guard(np.concatenate([qc, qr]), work[t])
+            if np.any(qc):
+                qc = work[t + 1:, t] // work[t, t]
+                work[t + 1:] -= np.outer(qc, work[t])
+            if np.any(qr):
+                qr = work[t, t + 1:] // work[t, t]
+                work[:, t + 1:] -= np.outer(work[:, t], qr)
+            continue
+        if np.any(work[t + 1:, t]) or np.any(work[t, t + 1:]):
+            continue
+        rest = work[t + 1:, t + 1:]
+        if rest.size and piv > 1:
+            bad = np.nonzero(rest % piv)
+            if bad[0].size:
+                r = int(bad[0][0]) + t + 1
+                guard(np.ones(1, dtype=np.int64), work[r])
+                work[t] += work[r]
+                continue
+        t += 1
+    return work
+
+
+def _check_smith_matches_reference(a):
+    got, want = smith_normal_form(a), _ref_smith_normal_form(a)
+    assert got.shape == want.shape and got.tolist() == want.tolist()
+    if want.dtype == np.int64:
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+    else:
+        # the reference goes to Python ints when an intermediate entry
+        # could reach the guard; D does only when one of its own does
+        big = a.dtype == object or max(abs(int(x)) for x in want.flat) \
+            >= _INT64_GUARD
+        assert got.dtype == (object if big else np.int64)
+
+
+def test_smith_matches_the_elimination_it_replaced():
+    rng = np.random.default_rng(14)
+    cases = [np.zeros((0, 0), dtype=np.int64), np.zeros((0, 4), dtype=np.int64),
+             np.zeros((3, 0), dtype=np.int64), np.zeros((3, 4), dtype=np.int64)]
+    for _ in range(300):
+        nr, nc = (int(x) for x in rng.integers(1, 9, size=2))
+        a = rng.integers(-9, 10, size=(nr, nc)) * (rng.random((nr, nc)) < 0.6)
+        if rng.random() < 0.3:
+            a[int(rng.integers(nr))] = 0
+        if rng.random() < 0.3:
+            a[:, int(rng.integers(nc))] = 0
+        if rng.random() < 0.3:
+            a = a * rng.integers(1, 1 << 4, size=(nr, nc)) << 40
+        cases += [a, a.astype(object)]
+    for a in cases:
+        _check_smith_matches_reference(a)
+
+
+@pytest.mark.parametrize("name", ["C2", "C4", "V4", "C8", "C4xC2",
+                                  "C2xC2xC2", "D4", "Q8"])
+def test_smith_matches_the_old_elimination_on_cover_maps(name):
+    from cohlat.groups import builtin_group
+    from cohlat.lattices import build_mnq, coflasque_resolution
+    ses = coflasque_resolution(build_mnq(builtin_group(name)).m_lattice).ses
+    _check_smith_matches_reference(ses.proj)
+    _check_smith_matches_reference(ses.inj)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ print("regular rank", reg.rank,
 exterior_ses(reg).verify()
 print("square sequence verifies")
 
-# the two-slot sum map: kernel, image, and the quotient lattice M
+# the two-slot sum map: kernel, image, and the rank of its cokernel M
 data = build_mnq(v4)
 ses = two_slot_extension(data)
 print("sum map: kernel rank", ses.sub.rank,
@@ -28,8 +28,10 @@ print("sum map: kernel rank", ses.sub.rank,
       " M rank", data.m_rank, "= (n-1)^2 =", (v4.order - 1) ** 2,
       " torsion free:", data.m_torsion_free)
 
+# M itself is built in closed form, as J (x) J for J = Z[G]/Z.N
+m = builtin_lattice("M", v4)
+
 # integral degree-one cohomology of lattices, by Smith reduction
-m = data.m_lattice
 print("H^1 of M:", h1_integral(v4, m),
       "  of the sign lattice:", h1_integral(builtin_group("C2"),
                                             GLattice.sign_lattice(

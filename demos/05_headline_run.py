@@ -1,6 +1,6 @@
 """The order-64 run: a degree-3 class no transferred product reaches.
 
-Takes around a minute; everything else in demos/ is instant.
+Takes about a second; the other demos take well under one.
 """
 import json
 

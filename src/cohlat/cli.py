@@ -89,7 +89,7 @@ def cmd_lattice_info(args) -> dict:
     group = load_group(args.group)
     lat = load_lattice(args.lattice, group)
     dec = lambda2_regular_decomposition(group)
-    data = build_mnq(group, materialize_m=False)
+    data = build_mnq(group)
     config = {"lattice": args.lattice}
     return _envelope("lattice-info", args, group, config, {
         "lattice": {

@@ -28,7 +28,6 @@ H1_MAX_RANK = 300
 # stays under H1_MAX_RANK there (rank 256 at most, on D8 and Q16), and an
 # order-16 phi takes 0.5-1.6 s on one core
 ALPHA_MAX_ORDER = 16
-M_MATERIALIZE_MAX_ORDER = 16
 
 
 class GLattice:
@@ -512,8 +511,6 @@ class MNQData:
     image_basis: np.ndarray         # rows, basis of the image in the product
     m_rank: int
     m_torsion_free: bool
-    m_lattice: Optional[GLattice] = None
-    m_projection: Optional[np.ndarray] = None    # product coords -> M basis
 
 
 def _product_perm(group: FiniteGroup, g: int) -> np.ndarray:
@@ -544,9 +541,9 @@ def _sublattice_action(group: FiniteGroup, solver: IntSolver, move,
     return GLattice(group, mats, rank=solver.hnf.shape[0], name=name)
 
 
-def build_mnq(group: FiniteGroup,
-              materialize_m: Optional[bool] = None) -> MNQData:
-    """Assemble the two-slot sum map into the product and its cokernel."""
+def build_mnq(group: FiniteGroup) -> MNQData:
+    """Assemble the two-slot sum map into the product, with its kernel and
+    image; its cokernel M is built in closed form by _marginal_quotient."""
     n = group.order
     rho = np.zeros((2 * n, n * n), dtype=np.int64)
     ar = np.arange(n)
@@ -568,37 +565,32 @@ def build_mnq(group: FiniteGroup,
         group, solver, lambda g, rows: _move_pairs(group, g, rows),
         "two-slot-image")
     m_rank = n * n - hnf.shape[0]
-    data = MNQData(group, rho, ker, image, hnf, m_rank, torsion_free)
-    if materialize_m is None:
-        materialize_m = group.order <= M_MATERIALIZE_MAX_ORDER
-    if materialize_m:
-        data.m_lattice, data.m_projection = _coker_lattice(group, hnf,
-                                                           pivcols)
-    return data
+    return MNQData(group, rho, ker, image, hnf, m_rank, torsion_free)
 
 
-def _coker_lattice(group: FiniteGroup, hnf: np.ndarray, pivcols) -> \
-        Tuple[GLattice, np.ndarray]:
-    """Cokernel of the image lattice inside the product permutation lattice,
-    with the projection onto its basis of free (non-pivot) coordinates.
+def _marginal_quotient(group: FiniteGroup) -> Tuple[GLattice, np.ndarray]:
+    """The cokernel M of the two-slot sum map, with the projection from the
+    product lattice Z[G x G] (pair (a, b) at coordinate a*n + b) onto its
+    basis.
 
-    The pivots of hnf are units with zeros above and below, so column c of
-    the projection is e_c reduced by the image rows: a unit vector at a free
-    c and minus the free part of the pivot row at a pivot c.
+    The sum map's image is Z[G] (x) N + N (x) Z[G] for the norm N, so M is
+    J (x) J with J = Z[G]/Z.N: basis the classes of e_h, h != 1, where
+    e_1 = -sum_h e_h. P_J = [-1 | I] projects Z[G] onto J, and g acts on J
+    by P_J on the columns table[g, 1:]. Only J is validated:
+    kron(A, A) kron(B, B) = kron(AB, AB), so M is a homomorphism whenever
+    J is.
     """
-    n2 = hnf.shape[1]
-    pivcols = np.asarray(pivcols, dtype=np.int64)
-    if not np.array_equal(hnf[:, pivcols],
-                          np.eye(len(pivcols), dtype=np.int64)):
-        raise InternalInvariant("cokernel needs unit pivots")
-    free = np.delete(np.arange(n2, dtype=np.int64), pivcols)
-    proj = np.zeros((len(free), n2), dtype=np.int64)
-    proj[:, free] = np.eye(len(free), dtype=np.int64)
-    proj[:, pivcols] = -hnf[:, free].T
-    mats = [proj[:, _product_perm(group, g)[free]]
-            for g in group.generators()]
-    lat = GLattice(group, mats, rank=len(free), name="marginal-quotient")
-    return lat, proj
+    n = group.order
+    if (n - 1) ** 2 > MAX_DENSE_RANK:
+        raise BudgetExceeded(
+            f"dense lattice rank {(n - 1) ** 2} exceeds {MAX_DENSE_RANK}")
+    p_j = np.hstack([-np.ones((n - 1, 1), dtype=np.int64),
+                     np.eye(n - 1, dtype=np.int64)])
+    acts = [p_j[:, group.table[g, 1:]] for g in group.generators()]
+    GLattice(group, acts, rank=n - 1, name="J")    # validates J
+    m = GLattice(group, [np.kron(a, a) for a in acts], rank=(n - 1) ** 2,
+                 name="marginal-quotient", validate=False)
+    return m, np.kron(p_j, p_j)
 
 
 def two_slot_extension(data: MNQData) -> LatticeSES:
@@ -998,17 +990,23 @@ def coflasque_resolution(lat: GLattice, trim: bool = True,
 
 def pullback_lattice(data: MNQData,
                      resolution: CoflasqueResolution) -> GLattice:
-    """Kernel of (x, p) -> [x] - eval(p) over the marginal quotient.
+    """Kernel of (x, p) -> [x] - eval(p) over the marginal quotient M.
 
     Replaces the product lattice with a cover whose kernel is coflasque; the
-    result is itself verified coflasque.
+    result is itself verified coflasque. The resolution must be one of M
+    over data.group, else IncompatibleOperands.
     """
-    if data.m_lattice is None or data.m_projection is None:
-        raise BudgetExceeded("marginal quotient was not materialized")
     group = data.group
+    m, m_proj = _marginal_quotient(group)
+    quo = resolution.ses.quo
+    if quo.group is not group or quo.rank != m.rank or any(
+            not np.array_equal(quo.matrix(s), m.matrix(s))
+            for s in group.generators()):
+        raise IncompatibleOperands(
+            "the resolution is not of the marginal quotient of this group")
     n2 = data.rho.shape[1]
     ev = resolution.ses.proj
-    solver = IntSolver(int_left_kernel(np.hstack([data.m_projection, -ev]).T))
+    solver = IntSolver(int_left_kernel(np.hstack([m_proj, -ev]).T))
 
     def move(g, rows):
         return np.hstack([_move_pairs(group, g, rows[:, :n2]),
@@ -1035,7 +1033,7 @@ def phi(group: FiniteGroup, lat: Optional[GLattice] = None,
     if group.order == 1:
         return []
     if lat is None:
-        lat = build_mnq(group).m_lattice
+        lat = _marginal_quotient(group)[0]
     res = coflasque_resolution(lat)
     out = alpha_image(res.kernel_lattice)
     if verify_independence:
@@ -1103,12 +1101,7 @@ def builtin_lattice(name: str, group: FiniteGroup) -> GLattice:
     if name == "sign":
         return GLattice.sign_lattice(group)
     if name == "M":
-        data = build_mnq(group)
-        if data.m_lattice is None:
-            raise BudgetExceeded(
-                "marginal quotient action is materialized only up to order "
-                f"{M_MATERIALIZE_MAX_ORDER}")
-        return data.m_lattice
+        return _marginal_quotient(group)[0]
     raise ValidationError(f"unknown builtin lattice {name!r}")
 
 

@@ -9,8 +9,9 @@ import pytest
 from cohlat.errors import (BudgetExceeded, CoflasquenessCheckFailed,
                            IncompatibleOperands, InternalInvariant,
                            NotRankOneKernel, ValidationError)
-from cohlat.groups import (Subgroup, builtin_group, cyclic_group,
-                           dihedral_group, subgroup_classes)
+from cohlat.groups import (FiniteGroup, Subgroup, builtin_group,
+                           cyclic_group, dihedral_group, direct_product,
+                           subgroup_classes)
 from cohlat import lattices, linalg
 from cohlat.lattices import (GLattice, LatticeSES, _coboundary_rows_mod2,
                              _diag_block, _product_perm, _schreier_walk,
@@ -293,7 +294,7 @@ def test_mnq_kernel_and_rank():
     data = build_mnq(c2)
     assert data.m_rank == 1 and data.m_torsion_free
     assert data.kernel.tolist() in ([[1, 1, -1, -1]], [[-1, -1, 1, 1]])
-    assert data.m_lattice.matrix(1).tolist() == [[1]]
+    assert builtin_lattice("M", c2).matrix(1).tolist() == [[1]]
 
 
 @pytest.mark.parametrize("name", ["C2", "C4", "V4", "D4", "Q8", "C8"])
@@ -311,15 +312,16 @@ def test_mnq_sz8_rank_without_materializing():
     data = build_mnq(g)
     assert data.m_rank == 3969
     assert data.m_torsion_free
-    assert data.m_lattice is None
+    with pytest.raises(BudgetExceeded):    # rank 3969 over the dense 1200
+        builtin_lattice("M", g)
 
 
-def test_mnq_materialize_override():
-    data = build_mnq(builtin_group("C2"), materialize_m=False)
-    assert data.m_lattice is None
-    res = coflasque_resolution(GLattice.trivial(builtin_group("C2")))
+def test_m_builds_at_order_32():
+    # M follows the dense-rank budget alone; phi keeps its order budget
+    g = direct_product(builtin_group("C2"), builtin_group("C16"))
+    assert builtin_lattice("M", g).rank == 961
     with pytest.raises(BudgetExceeded):
-        pullback_lattice(data, res)
+        phi(g)
 
 
 def test_two_slot_extension_shape():
@@ -588,13 +590,37 @@ def test_lattice_from_json_with_redundant_elements():
             lattice_from_json(d4, data)
 
 
-@pytest.mark.parametrize("name", ["C2", "C4", "V4", "D4", "Q8", "C8",
-                                  "C4xC2", "C2xC2xC2"])
-def test_coker_projection_matches_pivot_reduction(name):
-    g = builtin_group(name)
+ORDER_16 = ["C2", "C4", "V4", "C8", "C4xC2", "C2xC2xC2", "D4", "Q8", "C16",
+            "C4xC4", "D8", "Q16"]
+
+
+def _relabelled(group, copy):
+    """The group with its non-identity elements renamed by a seeded
+    permutation, as the benchmark's group files are."""
+    rng = np.random.default_rng([copy])
+    perm = np.zeros(group.order, dtype=np.int64)
+    perm[1:] = 1 + rng.permutation(group.order - 1)
+    table = np.empty_like(group.table)
+    table[np.ix_(perm, perm)] = perm[group.table]
+    return FiniteGroup(table, name=f"{group.name}-r{copy}")
+
+
+@pytest.mark.parametrize(
+    "name,copy", [pytest.param(n, 0, id=n) for n in ORDER_16 + ["C3", "C6"]]
+    + [pytest.param(n, c, id=f"{n}-r{c}")
+       for n in ORDER_16 for c in (1, 2, 3)])
+def test_coker_projection_matches_pivot_reduction(name, copy):
+    # M and its projection against the cokernel of the sum map read off
+    # its Hermite form: column c of the projection is e_c reduced by the
+    # unit pivot rows, restricted to the free (non-pivot) columns
+    g = (cyclic_group(int(name[1:])) if name in ("C3", "C6")
+         else builtin_group(name))
+    if copy:
+        g = _relabelled(g, copy)
     data = build_mnq(g)
     hnf, pivcols = row_hnf(data.rho)
     assert np.array_equal(hnf, data.image_basis)
+    assert all(hnf[i, p] == 1 for i, p in enumerate(pivcols))
     n2 = hnf.shape[1]
     free = [c for c in range(n2) if c not in set(pivcols)]
 
@@ -607,12 +633,10 @@ def test_coker_projection_matches_pivot_reduction(name):
         return v[free]
 
     want = np.array([reduce_vec(c) for c in range(n2)], dtype=np.int64).T
-    assert np.array_equal(data.m_projection, want)
-    for s in g.generators():
-        perm = _product_perm(g, s)
-        cols = [reduce_vec(perm[c]) for c in free]
-        assert np.array_equal(data.m_lattice.matrix(s),
-                              np.array(cols, dtype=np.int64).T)
+    assert np.array_equal(lattices._marginal_quotient(g)[1], want)
+    m = builtin_lattice("M", g)
+    for x in range(g.order):
+        assert np.array_equal(m.matrix(x), want[:, _product_perm(g, x)[free]])
 
 
 # -- the connecting image and coflasque covers --
@@ -793,13 +817,23 @@ def test_free_cover_alone_fails_the_coflasque_check(monkeypatch):
 def test_pullback_lattice_is_coflasque():
     c2 = builtin_group("C2")
     data = build_mnq(c2)
-    res = coflasque_resolution(data.m_lattice)
+    res = coflasque_resolution(builtin_lattice("M", c2))
     pb = pullback_lattice(data, res)
     # product rank 4, plus the cover (rank 1 on C2), less M (rank 1)
     assert res.cover.rank == 1
     assert pb.rank == 4
     for s in subgroup_classes(c2):
         assert h1_integral(s, pb) == []
+
+
+def test_pullback_rejects_a_resolution_of_another_lattice():
+    # another rank, another action of the same rank, another group
+    c2 = builtin_group("C2")
+    data = build_mnq(c2)
+    for lat in (GLattice.regular(c2), GLattice.sign_lattice(c2),
+                builtin_lattice("M", builtin_group("C4"))):
+        with pytest.raises(IncompatibleOperands):
+            pullback_lattice(data, coflasque_resolution(lat))
 
 
 @pytest.mark.parametrize("name", ["C2", "C4"])
@@ -818,6 +852,15 @@ def test_phi_on_a_2_group_makes_no_smith_call(monkeypatch):
     monkeypatch.setattr(linalg, "smith_normal_form", counting)
     assert phi(builtin_group("C4")) == []
     assert calls == []
+
+
+def test_phi_makes_no_sum_map_call(monkeypatch):
+    # M is built in closed form, not as the sum map's cokernel
+    def refuse(group):
+        raise AssertionError("the sum map was assembled")
+    monkeypatch.setattr(lattices, "build_mnq", refuse)
+    assert phi(builtin_group("C4")) == []
+    assert builtin_lattice("M", builtin_group("D4")).rank == 49
 
 
 def test_phi_independence_check():
@@ -892,8 +935,9 @@ LATTICE_PINS = {
 def test_lattice_constructions_keep_their_bytes(name):
     g = builtin_group(name)
     data = build_mnq(g)
-    res = coflasque_resolution(data.m_lattice)
-    pad = coflasque_resolution(data.m_lattice, pad_free=1)
+    m = builtin_lattice("M", g)
+    res = coflasque_resolution(m)
+    pad = coflasque_resolution(m, pad_free=1)
     two = two_slot_extension(data)
     ext = exterior_of_rank_one_extension(two)
     got = {

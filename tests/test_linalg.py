@@ -761,8 +761,8 @@ def test_smith_matches_the_elimination_it_replaced():
                                   "C2xC2xC2", "D4", "Q8"])
 def test_smith_matches_the_old_elimination_on_cover_maps(name):
     from cohlat.groups import builtin_group
-    from cohlat.lattices import build_mnq, coflasque_resolution
-    ses = coflasque_resolution(build_mnq(builtin_group(name)).m_lattice).ses
+    from cohlat.lattices import builtin_lattice, coflasque_resolution
+    ses = coflasque_resolution(builtin_lattice("M", builtin_group(name))).ses
     _check_smith_matches_reference(ses.proj)
     _check_smith_matches_reference(ses.inj)
 

@@ -261,7 +261,8 @@ class SubgroupLink:
     Comparison chain maps run between the restricted resolution P|_H and
     H's own minimal resolution Q, with F2 coefficients: u: P|_H -> Q for
     transfer, lifted here, and v: Q -> P|_H for restriction, lifted on the
-    first read of `v`.
+    first read of `v`. Each read is a fixed linear map per degree; the
+    link builds its matrix on the first read of that degree and holds it.
     """
 
     def __init__(self, parent: GroupCohomology, sub: Subgroup,
@@ -288,6 +289,8 @@ class SubgroupLink:
         self.u = lift_chain_map(self.ph2, q, u0, self.max_degree)
         self._v: Optional[List[np.ndarray]] = None
         self._left_inv_reps = parent.group.inv[sub.coset_reps()]
+        self._res_mats: Dict[int, np.ndarray] = {}
+        self._cor_mats: Dict[int, np.ndarray] = {}
 
     @property
     def v(self) -> List[np.ndarray]:
@@ -303,25 +306,32 @@ class SubgroupLink:
         """res: H^degree(G, F2) -> H^degree(H, F2)."""
         self.hco._check_degree(degree)  # the link's ceiling
         vec = _class_vector(vec, self.parent.res.ranks[degree])
-        gen_rows = self.v[degree][self.hco.res.gen_coords(degree)]
-        mat = self.parent.res.block_augment(degree, gen_rows, two_exp=1)
+        mat = self._res_mats.get(degree)
+        if mat is None:
+            gen_rows = self.v[degree][self.hco.res.gen_coords(degree)]
+            mat = self.parent.res.block_augment(degree, gen_rows, two_exp=1)
+            self._res_mats[degree] = mat
         return mat @ vec % 2
 
     def transfer(self, degree: int, vec: np.ndarray) -> np.ndarray:
         """cor: H^degree(H, F2) -> H^degree(G, F2).
 
         The H-linear cochain b o u is summed over inverse left-coset
-        representatives: (cor f)(p) = sum_j f(g_j^-1 p).
+        representatives: (cor f)(p) = sum_j f(g_j^-1 p). As a matrix, the
+        rows of u at the summed coordinates, added over the cosets and then
+        over each generator block of H's resolution.
         """
         vec = _class_vector(vec, self.hco.h_dim(degree))
-        bexp = vec[self.hco.res.coord_gen[degree]]
-        n = self.parent.group.order
-        rank = self.parent.res.ranks[degree]
-        cols = (np.arange(rank, dtype=np.int64)[:, None] * n
-                + self._left_inv_reps[None, :])
-        # only the cochain b o u at the summed coordinates is needed
-        phi = self.u[degree][cols.ravel()] @ bexp
-        return phi.reshape(cols.shape).sum(axis=1) % 2
+        mat = self._cor_mats.get(degree)
+        if mat is None:
+            n = self.parent.group.order
+            rank = self.parent.res.ranks[degree]
+            cols = (np.arange(rank, dtype=np.int64)[:, None] * n
+                    + self._left_inv_reps[None, :])
+            summed = self.u[degree][cols].sum(axis=1, dtype=np.int64)
+            mat = self.hco.res.block_augment(degree, summed, two_exp=1)
+            self._cor_mats[degree] = mat
+        return mat @ vec % 2
 
 # ---------------------------------------------------------------------------
 # Independent cross-check: unnormalized bar cochains

@@ -66,10 +66,18 @@ def _store_modk(dst: np.ndarray, a: np.ndarray, k: int):
     """dst[...] = a mod 2^k, for dst of the word type of k.
 
     Casting an integer to the word keeps its low bits, and 2^k divides the
-    word modulus, so integer input needs no int64 copy on the way.
+    word modulus, so integer input needs no int64 copy on the way. Float
+    and object entries are reduced exactly mod 2^k first, so Python ints
+    of any size are taken; a non-integral entry raises.
     """
-    if a.dtype.kind not in "iu":
-        a = a.astype(np.int64)
+    if a.dtype.kind not in "iub":
+        try:
+            integral = a.dtype.kind in "fO" and bool((a % 1 == 0).all())
+        except TypeError:
+            integral = False
+        if not integral:
+            raise IncompatibleOperands("matrix entries must be integers")
+        a = (a % (1 << k)).astype(np.int64)
     dst[...] = a
     dst &= (1 << k) - 1
 
@@ -98,20 +106,29 @@ def howell_form(a: np.ndarray, k: int) -> HowellForm:
         nz = np.nonzero(colvals)[0]
         if nz.size == 0:
             continue
-        vals = _TZ[colvals[nz]]
-        v = int(vals.min())
-        pick = done + int(nz[np.argmax(vals == v)])
+        # the first entry of least valuation; an odd first entry is one
+        if colvals[nz[0]] & 1:
+            v = 0
+            pick = done + int(nz[0])
+        else:
+            vals = _TZ[colvals[nz]]
+            v = int(vals.min())
+            pick = done + int(nz[np.argmax(vals == v)])
+        # rows from done down vanish left of col, and so does every row
+        # change below: only columns col: are touched
         if pick != done:
-            work[[done, pick]] = work[[pick, done]]
-        odd = int(work[done, col]) >> v
+            work[[done, pick], col:] = work[[pick, done], col:]
+        piv = work[done, col:]
+        odd = int(piv[0]) >> v
         if odd != 1:
-            work[done] = (work[done] * word(_inv_pow2(odd, k))) & mask
+            piv[...] = (piv * word(_inv_pow2(odd, k))) & mask
         # eliminate the column everywhere else; above-rows end up reduced mod 2^v
         q = work[:live, col] >> v
         q[done] = 0
         rows = np.nonzero(q)[0]
         if rows.size:
-            work[rows] = (work[rows] - np.outer(q[rows], work[done])) & mask
+            work[rows, col:] = (work[rows, col:]
+                                - np.multiply.outer(q[rows], piv)) & mask
         if v > 0:
             shadow = (work[done] << (k - v)) & mask
             if shadow.any():

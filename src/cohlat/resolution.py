@@ -121,8 +121,7 @@ class GModuleComplex:
         out = np.empty((self.dims[degree], dst.dims[dst_degree]),
                        dtype=gen_rows.dtype)
         # the coordinate of g . (generator s) takes g . gen_rows[s]
-        for s, coords in enumerate(self.coord_index[degree]):
-            out[coords] = gen_rows[s][table]
+        out[self.coord_index[degree]] = np.take(gen_rows, table, axis=1)
         return out
 
     def boundary_solver(self, degree: int) -> ModKSolver:

@@ -492,6 +492,68 @@ def test_restrict_transfer_and_cup_tables_are_pinned(name):
     assert hashlib.sha256(raw).hexdigest() == LINK_TABLE_SHA256[name]
 
 
+# -- held restriction and transfer matrices against the per-call formulas --
+
+def _ref_restrict(link, degree, vec):
+    """Restriction rebuilt on every call, as before links held matrices."""
+    link.hco._check_degree(degree)
+    vec = np.asarray(vec, dtype=np.int64) % 2
+    gen_rows = link.v[degree][link.hco.res.gen_coords(degree)]
+    mat = link.parent.res.block_augment(degree, gen_rows, two_exp=1)
+    return mat @ vec % 2
+
+
+def _ref_transfer(link, degree, vec):
+    """Transfer rebuilt on every call: the cochain b o u at the summed
+    coordinates, added over the inverse left-coset representatives."""
+    vec = np.asarray(vec, dtype=np.int64) % 2
+    bexp = vec[link.hco.res.coord_gen[degree]]
+    n = link.parent.group.order
+    rank = link.parent.res.ranks[degree]
+    cols = (np.arange(rank, dtype=np.int64)[:, None] * n
+            + link._left_inv_reps[None, :])
+    phi = link.u[degree][cols.ravel()] @ bexp
+    return phi.reshape(cols.shape).sum(axis=1) % 2
+
+
+def _probe_vectors(dim, rng):
+    return ([np.zeros(dim, dtype=np.int64), np.ones(dim, dtype=np.int64)]
+            + [rng.integers(0, 2, dim) for _ in range(3)])
+
+
+def _same_read(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name,max_degree,index2_only", [
+    ("D8", 4, False), ("C2xD8", 5, False), ("sz8-sylow", 4, True)])
+def test_held_link_maps_match_the_per_call_formulas(name, max_degree,
+                                                    index2_only):
+    gc = GroupCohomology(_named_group(name), max_degree)
+    rng = np.random.default_rng(17)
+    subs = [s for s in subgroup_classes(gc.group)
+            if s.index == 2 or (not index2_only and s.order < gc.group.order)]
+    # H = 1 has rank 0 in every positive degree
+    assert index2_only or subs[0].order == 1
+    for sub in subs:
+        link = SubgroupLink(gc, sub)
+        degrees = range(link.max_degree + 1)
+        for deg in degrees:
+            for vec in _probe_vectors(link.hco.h_dim(deg), rng):
+                for _ in range(2):  # the build, then the held matrix
+                    _same_read(link.transfer(deg, vec),
+                               _ref_transfer(link, deg, vec))
+        # transfer leaves the restriction's comparison map unlifted
+        assert link._v is None
+        for deg in degrees:
+            for vec in _probe_vectors(gc.h_dim(deg), rng):
+                for _ in range(2):
+                    _same_read(link.restrict(deg, vec),
+                               _ref_restrict(link, deg, vec))
+        assert sorted(link._res_mats) == sorted(link._cor_mats) == list(degrees)
+
+
 # -- the F2 chain-map path against the int64 route it replaced --
 
 def _int64_lift(src, src_degree, dst, gen_rows, steps):

@@ -842,12 +842,25 @@ def test_howell_and_kernel_take_any_integer_dtype(k):
             ker = kernel_basis_modk(x, k).matrix
             assert ker.dtype == np.int64
             assert np.array_equal(ker, _ref_kernel_basis_modk(exact, k))
-    # non-integer input still goes through int64
+    # float, object and bool input with integral entries is reduced exactly
     b = np.array([[300.0, -129.0], [True, 2]], dtype=object)
     assert np.array_equal(kernel_basis_modk(b, k).matrix, _ref_kernel_basis_modk(
         np.array([[300, -129], [1, 2]]), k))
     assert np.array_equal(howell_form(b.astype(bool), k).matrix,
                           _ref_howell_form(np.array([[1, 1], [1, 1]]), k)[0])
+    # Python ints past int64 keep their residues
+    big = np.array([[2 ** 64 + 3, -(2 ** 70) - 1], [2 ** 63, 5]], dtype=object)
+    exact = np.array([[int(v) % m for v in row] for row in big.tolist()])
+    assert np.array_equal(howell_form(big, k).matrix,
+                          _ref_howell_form(exact, k)[0])
+    assert np.array_equal(kernel_basis_modk(big, k).matrix,
+                          _ref_kernel_basis_modk(exact, k))
+    # a non-integral entry is rejected, not truncated
+    for bad in (np.array([[1.5, 2.0]]), np.array([[1.5, 2]], dtype=object),
+                np.array([[np.nan, 1.0]]), np.array([[None, 1]], dtype=object)):
+        for read in (howell_form, kernel_basis_modk):
+            with pytest.raises(IncompatibleOperands):
+                read(bad, k)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ A "no" certifies a nonzero obstruction for the group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -137,15 +137,12 @@ def transfer_cup_image(gc: GroupCohomology, sub: Subgroup
     return span, term
 
 
-def transfer_cup_span(gc: GroupCohomology,
-                      classes: Optional[Sequence[Subgroup]] = None
+def transfer_cup_span(gc: GroupCohomology
                       ) -> Tuple[Subspace, List[SubgroupTerm]]:
     """Union of per-class transfer spans over all subgroup classes."""
-    if classes is None:
-        classes = subgroup_classes(gc.group)
     total = Subspace.zero(gc.h_dim(3))
     terms = []
-    for sub in classes:
+    for sub in subgroup_classes(gc.group):
         span, term = transfer_cup_image(gc, sub)
         total = total.union(span)
         terms.append(term)

@@ -17,6 +17,7 @@ from .errors import (BudgetExceeded, IdentityNotZero, InternalInvariant,
 from .linalg import invariant_factors, row_hnf
 
 MAX_ORDER = 1024
+MAX_SUBGROUP_CLASSES = 10000
 
 
 class FiniteGroup:
@@ -86,9 +87,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
     def conjugate(self, g: int, h: int) -> int:
         """g^-1 h g."""
         return int(self.table[self.table[self.inv[g], h], g])
@@ -97,9 +95,6 @@ class FiniteGroup:
     def is_2group(self) -> bool:
         n = self.order
         return n & (n - 1) == 0
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def generators(self) -> List[int]:
         """Deterministic generating set; minimal for p-groups."""
@@ -198,24 +193,26 @@ def _pgroup_min_generators(group: FiniteGroup, p: int) -> List[int]:
     """Coset representatives of a basis of G modulo its Frattini subgroup.
 
     For a p-group the Frattini subgroup is generated by p-th powers and
-    commutators, and any lift of a basis of the quotient generates G.
+    commutators, and any lift of a basis of the quotient generates G. Each
+    pick is the least element outside the span S so far, so the least of its
+    coset; S is normal and holds g^p, so joining g gives the union of g^i S.
     """
+    t = group.table
     x = np.arange(group.order)
     powers = x
     for _ in range(p - 1):
-        powers = group.table[powers, x]
+        powers = t[powers, x]
     phi = _generated(group, np.concatenate([powers, _commutators(group)]))
-    quot, coset_of = quotient_group(group, phi)
+    span = np.isin(x, phi)
     chosen: List[int] = []
-    span = _generated(quot, chosen)
-    for q in range(1, quot.order):
-        if q not in span:
-            chosen.append(q)
-            span = _generated(quot, chosen)
-            if span.size == quot.order:
-                break
-    reps = {int(coset_of[g]): g for g in range(group.order - 1, -1, -1)}
-    return [reps[q] for q in chosen]
+    while not span.all():
+        g = int(np.argmin(span))
+        chosen.append(g)
+        coset = np.flatnonzero(span)
+        for _ in range(p - 1):
+            coset = t[g, coset]
+            span[coset] = True
+    return chosen
 
 
 def _generated(group: FiniteGroup, seed: Sequence[int]) -> np.ndarray:
@@ -348,7 +345,7 @@ def _conjugacy_key(group: FiniteGroup, elements: np.ndarray) -> Tuple[int, ...]:
     return tuple(int(x) for x in conj[best])
 
 
-def subgroup_classes(group: FiniteGroup, cap: int = 10000) -> List[Subgroup]:
+def subgroup_classes(group: FiniteGroup) -> List[Subgroup]:
     """Conjugacy-class representatives of all subgroups.
 
     Layered closure: start from cyclic subgroups, join class representatives
@@ -382,8 +379,9 @@ def subgroup_classes(group: FiniteGroup, cap: int = 10000) -> List[Subgroup]:
                 seen.add(j.tobytes())
                 key = _conjugacy_key(group, j)
                 if key not in reps:
-                    if len(reps) >= cap:
-                        raise BudgetExceeded(f"more than {cap} subgroup classes")
+                    if len(reps) >= MAX_SUBGROUP_CLASSES:
+                        raise BudgetExceeded(f"more than {MAX_SUBGROUP_CLASSES}"
+                                             " subgroup classes")
                     reps[key] = np.array(key, dtype=np.int64)
                     new.append(reps[key])
         layer = new
@@ -504,37 +502,29 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: str = "") -> FiniteGrou
     return FiniteGroup(t, name=name or f"{a.name}x{b.name}")
 
 
+def _dihedral_table(order: int, twist: int) -> np.ndarray:
+    """Table of <a, b | a^m, b^2 = a^twist, b a b^-1 = a^-1>, m = order / 2,
+    with a^i b^j at index i + m*j: a^i1 b^j1 a^i2 b^j2 = a^i b^(j1 xor j2)
+    where i = i1 -+ i2 (minus when j1 = 1), plus twist when j1 = j2 = 1."""
+    m = order // 2
+    x = np.arange(order, dtype=np.int64)
+    i1, j1 = (x % m)[:, None], (x // m)[:, None]
+    i2, j2 = x % m, x // m
+    i = (i1 + np.where(j1 == 0, i2, -i2) + twist * (j1 & j2)) % m
+    return i + m * (j1 ^ j2)
+
+
 def dihedral_group(order: int) -> FiniteGroup:
     if order % 2 or order < 4:
         raise ValidationError("dihedral order must be even and >= 4")
-    m = order // 2
-    t = np.zeros((order, order), dtype=np.int64)
-    for i1 in range(m):
-        for j1 in range(2):
-            for i2 in range(m):
-                for j2 in range(2):
-                    i = (i1 + (i2 if j1 == 0 else -i2)) % m
-                    j = j1 ^ j2
-                    t[i1 + m * j1, i2 + m * j2] = i + m * j
-    return FiniteGroup(t, name=f"D(order {order})")
+    return FiniteGroup(_dihedral_table(order, 0), name=f"D(order {order})")
 
 
 def quaternion_group(order: int) -> FiniteGroup:
     if order not in (8, 16, 32):
         raise ValidationError("generalized quaternion order must be 8, 16 or 32")
-    m = order // 2
-    half = m // 2  # b^2 = a^(m/2), ba = a^-1 b
-    t = np.zeros((order, order), dtype=np.int64)
-    for i1 in range(m):
-        for j1 in range(2):
-            for i2 in range(m):
-                for j2 in range(2):
-                    i = (i1 + (i2 if j1 == 0 else -i2)) % m
-                    if j1 and j2:
-                        i = (i + half) % m
-                    j = j1 ^ j2
-                    t[i1 + m * j1, i2 + m * j2] = i + m * j
-    return FiniteGroup(t, name=f"Q{order}")
+    # b^2 = a^(m/2) for the order-m rotation a
+    return FiniteGroup(_dihedral_table(order, order // 4), name=f"Q{order}")
 
 
 def _builtin_factories() -> Dict[str, "callable"]:

@@ -30,6 +30,13 @@ H1_MAX_RANK = 300
 ALPHA_MAX_ORDER = 16
 
 
+def _check_dense_rank(rank: int) -> None:
+    """Raise before a dense lattice of this rank is built."""
+    if rank > MAX_DENSE_RANK:
+        raise BudgetExceeded(
+            f"dense lattice rank {rank} exceeds {MAX_DENSE_RANK}")
+
+
 class GLattice:
     """Integral representation given by matrices for the group generators."""
 
@@ -129,9 +136,8 @@ class GLattice:
         return not (d[self.mod2_mask] % 2).any()
 
     def _validate(self):
-        if self.rank > MAX_DENSE_RANK and not self.monomial:
-            raise BudgetExceeded(
-                f"dense lattice rank {self.rank} exceeds {MAX_DENSE_RANK}")
+        if not self.monomial:
+            _check_dense_rank(self.rank)
         gens = self.group.generators()
         if self.permutation:
             for g in gens:
@@ -207,16 +213,20 @@ class GLattice:
             raise IncompatibleOperands("fixed rows need a free lattice")
         if elements is None:
             elements = self.group.generators()
-        blocks = [self.matrix(g).T - np.eye(self.rank, dtype=np.int64)
-                  for g in elements]
-        if not blocks:
-            return np.eye(self.rank, dtype=np.int64)
-        return int_left_kernel(np.hstack(blocks))
+        return _fixed_rows(self.rank, [self.matrix(g) for g in elements])
 
     def restricted_matrices(self, sub: Subgroup) -> List[np.ndarray]:
         """Action matrices for the subgroup's own minimal generators."""
         hgrp, to_global = sub.as_group()
         return [self.matrix(int(to_global[s])) for s in hgrp.generators()]
+
+
+def _fixed_rows(rank: int, mats: List[np.ndarray]) -> np.ndarray:
+    """Integer basis (rows) of the sublattice the matrices all fix."""
+    if not mats:
+        return np.eye(rank, dtype=np.int64)
+    return int_left_kernel(np.hstack(
+        [m.T - np.eye(rank, dtype=np.int64) for m in mats]))
 
 
 def direct_sum(*lats: GLattice) -> GLattice:
@@ -239,6 +249,7 @@ def direct_sum(*lats: GLattice) -> GLattice:
         return GLattice(group, acts, rank=total,
                         permutation=all(l.permutation for l in lats),
                         name=name, validate=False)
+    _check_dense_rank(total)
     mats = []
     for g in gens:
         m = np.zeros((total, total), dtype=np.int64)
@@ -273,15 +284,6 @@ def _pair_arrays(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
-def _wedge_matrix(a: np.ndarray) -> np.ndarray:
-    """Second exterior power of a square integer matrix (2x2 minors)."""
-    i, j = _pair_arrays(a.shape[0])
-    if i.size == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    return (a[np.ix_(i, i)] * a[np.ix_(j, j)]
-            - a[np.ix_(i, j)] * a[np.ix_(j, i)])
-
-
 def _wedge_minors_of_map(a: np.ndarray) -> np.ndarray:
     """Induced map on second exterior powers of a rectangular matrix."""
     q, m = a.shape
@@ -306,10 +308,11 @@ def lambda2(lat: GLattice) -> GLattice:
     if lat.mod2_mask is not None:
         raise IncompatibleOperands("exterior square needs a free lattice")
     n = lat.rank
-    idx, pairs = _pair_index(n)
+    m = n * (n - 1) // 2
     gens = lat.group.generators()
     name = f"wedge2({lat.name or '?'})"
     if lat.monomial:
+        idx, pairs = _pair_index(n)
         acts = []
         for gi in range(len(gens)):
             p, s = lat._gen_ps[gi]
@@ -324,12 +327,11 @@ def lambda2(lat: GLattice) -> GLattice:
                 pp[col] = idx[(a, b)]
                 ss[col] = sign
             acts.append((pp, ss))
-        return GLattice(lat.group, acts, rank=len(pairs), name=name,
-                        validate=False)
-    mats = [_wedge_matrix(lat.matrix(g)) for g in gens]
+        return GLattice(lat.group, acts, rank=m, name=name, validate=False)
+    _check_dense_rank(m)
+    mats = [_wedge_minors_of_map(lat.matrix(g)) for g in gens]
     # functorial: relations hold because minors are multiplicative
-    return GLattice(lat.group, mats, rank=len(pairs), name=name,
-                    validate=False)
+    return GLattice(lat.group, mats, rank=m, name=name, validate=False)
 
 
 def _diag_block(a: np.ndarray) -> np.ndarray:
@@ -349,13 +351,14 @@ def gamma2(lat: GLattice) -> GLattice:
     if lat.mod2_mask is not None:
         raise IncompatibleOperands("divided square needs a free lattice")
     n = lat.rank
-    _, pairs = _pair_index(n)
-    m = len(pairs)
+    m = n * (n - 1) // 2
+    _check_dense_rank(m + n)
     gens = lat.group.generators()
     mats = []
     for g in gens:
         a = lat.matrix(g)
-        top = np.hstack([_wedge_matrix(a), np.zeros((m, n), dtype=np.int64)])
+        top = np.hstack([_wedge_minors_of_map(a),
+                         np.zeros((m, n), dtype=np.int64)])
         bot = np.hstack([_diag_block(a), a % 2])
         mats.append(np.vstack([top, bot]))
     mask = np.array([False] * m + [True] * n)
@@ -365,6 +368,7 @@ def gamma2(lat: GLattice) -> GLattice:
 
 def mod2_reduction(lat: GLattice) -> GLattice:
     """The lattice with every coordinate read mod 2."""
+    _check_dense_rank(lat.rank)
     gens = lat.group.generators()
     mats = [lat.matrix(g) % 2 for g in gens]
     return GLattice(lat.group, mats, rank=lat.rank,
@@ -581,9 +585,7 @@ def _marginal_quotient(group: FiniteGroup) -> Tuple[GLattice, np.ndarray]:
     J is.
     """
     n = group.order
-    if (n - 1) ** 2 > MAX_DENSE_RANK:
-        raise BudgetExceeded(
-            f"dense lattice rank {(n - 1) ** 2} exceeds {MAX_DENSE_RANK}")
+    _check_dense_rank((n - 1) ** 2)
     p_j = np.hstack([-np.ones((n - 1, 1), dtype=np.int64),
                      np.eye(n - 1, dtype=np.int64)])
     acts = [p_j[:, group.table[g, 1:]] for g in group.generators()]
@@ -616,9 +618,7 @@ def _local_action(group_like, lat: GLattice):
     if isinstance(group_like, Subgroup):
         if group_like.parent is not lat.group:
             raise IncompatibleOperands("subgroup of a different group")
-        hgrp, to_global = group_like.as_group()
-        mats = [lat.matrix(int(to_global[s])) for s in hgrp.generators()]
-        return hgrp, mats
+        return group_like.as_group()[0], lat.restricted_matrices(group_like)
     if group_like is lat.group:
         return lat.group, [lat.matrix(s) for s in lat.group.generators()]
     raise IncompatibleOperands("group does not act on this lattice")
@@ -749,19 +749,18 @@ def alpha_image(lat: GLattice) -> List[int]:
             f"group order {n} exceeds the connecting-map budget "
             f"{ALPHA_MAX_ORDER}")
     ml = lat.rank
-    lam = lambda2(lat)
-    m = lam.rank
-    if m == 0 or ml == 0:
-        return []
+    m = ml * (ml - 1) // 2
     gens = group.generators()
     if m * len(gens) > 4000:
         raise BudgetExceeded(
             f"fixed-point system on the wedge square has {m * len(gens)} "
             "columns, over the 4000 budget")
     two = n & -n
-    if two == 1:
+    if m == 0 or two == 1:
         return []    # odd order: degree-two classes mod 2 vanish
-    fixed = _fixed_points_mod2k(n, [lam.matrix(s) for s in gens])[0].matrix
+    # the wedge square's generator matrices, within the budget just checked
+    fixed = _fixed_points_mod2k(
+        n, [_wedge_minors_of_map(lat.matrix(s)) for s in gens])[0].matrix
     nb = fixed.shape[0]
     # A_h acts on W by 2x2 minors: v as an antisymmetric X goes to A_h X A_h^T
     i, j = _pair_arrays(ml)
@@ -829,13 +828,6 @@ class CoflasqueResolution:
         return self.ses.mid
 
 
-def _fixed_rows_of(lat: GLattice, sub: Subgroup) -> np.ndarray:
-    """Integer basis of the sublattice fixed by a subgroup, read off the
-    subgroup's own generators."""
-    hgrp, to_global = sub.as_group()
-    return lat.fixed_rows([int(to_global[s]) for s in hgrp.generators()])
-
-
 @dataclass
 class _CoverBlock:
     """Summand Z[G/K] (x) span(rows) of a cover, with its evaluations:
@@ -880,7 +872,8 @@ def _take_missing(span: IntSolver, candidates: np.ndarray, grow) -> List[int]:
     return chosen
 
 
-def _top_down_blocks(lat: GLattice) -> List[_CoverBlock]:
+def _top_down_blocks(lat: GLattice,
+                     classes: List[Subgroup]) -> List[_CoverBlock]:
     """Summands of a small permutation cover with coflasque kernel.
 
     Subgroup classes are visited from largest to smallest. At class H the
@@ -894,10 +887,10 @@ def _top_down_blocks(lat: GLattice) -> List[_CoverBlock]:
     """
     group = lat.group
     blocks: List[_CoverBlock] = []
-    for sub in reversed(subgroup_classes(group)):
+    for sub in reversed(classes):
         if sub.order == 1:
             continue
-        fixed = _fixed_rows_of(lat, sub)
+        fixed = _fixed_rows(lat.rank, lat.restricted_matrices(sub))
         if fixed.shape[0] == 0:
             continue
         norm = sum(lat.matrix(int(h)) for h in sub.elements)
@@ -944,11 +937,12 @@ def coflasque_resolution(lat: GLattice, trim: bool = True,
                            np.zeros((lat.rank, 0), dtype=np.int64),
                            np.eye(lat.rank, dtype=np.int64)).verify()
         return CoflasqueResolution(ident, [])
+    classes = subgroup_classes(group)
     if trim:
-        blocks = _top_down_blocks(lat)
+        blocks = _top_down_blocks(lat, classes)
     else:
-        blocks = [_CoverBlock.of(lat, sub, _fixed_rows_of(lat, sub))
-                  for sub in subgroup_classes(group)]
+        blocks = [_CoverBlock.of(lat, sub, _fixed_rows(
+            lat.rank, lat.restricted_matrices(sub))) for sub in classes]
     if pad_free:
         pad = np.eye(lat.rank, dtype=np.int64)[:min(pad_free, lat.rank)]
         blocks.append(_CoverBlock.of(lat, Subgroup(group, [0]), pad))
@@ -979,7 +973,7 @@ def coflasque_resolution(lat: GLattice, trim: bool = True,
     kernel = _sublattice_action(group, solver, cover.apply,
                                 "coflasque-kernel")
     ses = LatticeSES(kernel, cover, lat, solver.hnf.T, ev).verify()
-    for sub in subgroup_classes(group):
+    for sub in classes:
         bad = h1_integral(sub, kernel)
         if bad:
             raise CoflasquenessCheckFailed(

@@ -134,11 +134,12 @@ class GModuleComplex:
         return s
 
     def block_augment(self, degree: int, rows: np.ndarray,
-                      two_exp: Optional[int] = None) -> np.ndarray:
-        """Sum coordinates over each generator block (the augmentation)."""
+                      two_exp: int) -> np.ndarray:
+        """Sum coordinates over each generator block (the augmentation),
+        mod 2^two_exp."""
         rows = np.atleast_2d(rows)
         out = rows[:, self.coord_index[degree]].sum(axis=2, dtype=np.int64)
-        return out % (1 << (two_exp if two_exp is not None else self.k))
+        return out % (1 << two_exp)
 
 
 def _minimal_generators(cx: GModuleComplex, degree: int,

@@ -103,6 +103,30 @@ def test_element_orders_q8_d4():
     assert sorted(d4.element_orders.tolist()) == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
+def _loop_dihedral_table(order, twist):
+    """a^i1 b^j1 * a^i2 b^j2 entry by entry, a^i b^j at index i + m*j."""
+    m = order // 2
+    t = np.zeros((order, order), dtype=np.int64)
+    for i1 in range(m):
+        for j1 in range(2):
+            for i2 in range(m):
+                for j2 in range(2):
+                    i = (i1 + (i2 if j1 == 0 else -i2)) % m
+                    if j1 and j2:
+                        i = (i + twist) % m
+                    t[i1 + m * j1, i2 + m * j2] = i + m * (j1 ^ j2)
+    return t
+
+
+def test_dihedral_and_quaternion_tables_match_the_loops():
+    cases = ([(dihedral_group(n), n, 0) for n in range(4, 130, 2)]
+             + [(quaternion_group(n), n, n // 4) for n in (8, 16, 32)])
+    for g, order, twist in cases:
+        ref = _loop_dihedral_table(order, twist)
+        assert g.table.dtype == ref.dtype
+        assert g.table.tobytes() == ref.tobytes(), g.name
+
+
 def test_unknown_builtin():
     with pytest.raises(ValidationError):
         builtin_group("C3")
@@ -172,14 +196,45 @@ def _set_generators(g):
     return [reps[q] for q in chosen]
 
 
+def _relabelled(group, seed):
+    """The group with its non-identity elements renamed by a seeded
+    permutation, as the benchmark's group files are."""
+    perm = np.zeros(group.order, dtype=np.int64)
+    perm[1:] = 1 + np.random.default_rng(seed).permutation(group.order - 1)
+    table = np.empty_like(group.table)
+    table[np.ix_(perm, perm)] = perm[group.table]
+    return FiniteGroup(table, name=f"{group.name}-r{seed}")
+
+
+PRODUCT_GROUPS = [direct_product(cyclic_group(2), builtin_group("D8")),
+                  direct_product(cyclic_group(2), sylow2_sz8())]
+ODD_P_GROUPS = [cyclic_group(3), cyclic_group(9),
+                direct_product(cyclic_group(3), cyclic_group(3)),
+                direct_product(cyclic_group(5), cyclic_group(5))]
+RELABELLED_GROUPS = [_relabelled(builtin_group(n), seed)
+                     for n in ("D8", "Q16", "C4xC4", "sz8-sylow")
+                     for seed in range(5)]
+
+
 @pytest.mark.parametrize("g", [builtin_group(n) for n in BUILTIN_GROUPS]
-                         + NON_P_GROUPS, ids=lambda g: g.name)
+                         + NON_P_GROUPS + PRODUCT_GROUPS + ODD_P_GROUPS
+                         + RELABELLED_GROUPS, ids=lambda g: g.name)
 def test_generators_and_commutators_match_set_reference(g):
     table = g.table.tolist()
     assert g.generators() == _set_generators(g)
     comms = {table[table[table[int(g.inv[a])][int(g.inv[b])]][a]][b]
              for a in range(g.order) for b in range(g.order)}
     assert commutator_subgroup(g) == _oracle_closure(table, comms)
+
+
+@pytest.mark.parametrize("g", [builtin_group(n) for n in BUILTIN_GROUPS]
+                         + PRODUCT_GROUPS, ids=lambda g: g.name)
+def test_class_local_generators_match_set_reference(g):
+    # the local group of every nontrivial subgroup class up to order 64
+    for sub in subgroup_classes(g):
+        if 1 < sub.order <= 64:
+            local = sub.as_group()[0]
+            assert local.generators() == _set_generators(local), sub.key()
 
 # --- the order-64 headline group ---
 

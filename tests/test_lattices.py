@@ -1,7 +1,10 @@
 """Lattice layer: actions, squares, sum-map quotients, covers, obstructions."""
 import dataclasses
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,10 +15,11 @@ from cohlat.errors import (BudgetExceeded, CoflasquenessCheckFailed,
 from cohlat.groups import (FiniteGroup, Subgroup, builtin_group,
                            cyclic_group, dihedral_group, direct_product,
                            subgroup_classes)
+import cohlat
 from cohlat import lattices, linalg
 from cohlat.lattices import (GLattice, LatticeSES, _coboundary_rows_mod2,
                              _diag_block, _product_perm, _schreier_walk,
-                             _wedge_matrix, alpha_image, build_mnq,
+                             _wedge_minors_of_map, alpha_image, build_mnq,
                              builtin_lattice, coflasque_resolution, direct_sum,
                              exterior_of_rank_one_extension, exterior_ses,
                              gamma2, h1_integral, induced_sign_lattice,
@@ -77,6 +81,21 @@ def test_dense_rank_budget():
     c2 = builtin_group("C2")
     with pytest.raises(BudgetExceeded):
         GLattice.trivial(c2, rank=1201)
+
+
+def test_dense_constructions_check_the_rank_they_build():
+    # each builds without validation, so checks its own output rank
+    c2 = builtin_group("C2")
+    half = GLattice.trivial(c2, rank=601)
+    signs = GLattice(c2, [(np.arange(1201), -np.ones(1201, dtype=np.int64))])
+    with pytest.raises(BudgetExceeded):
+        direct_sum(half, half)                       # rank 1202
+    with pytest.raises(BudgetExceeded):
+        mod2_reduction(signs)                        # monomial in, dense out
+    with pytest.raises(BudgetExceeded):
+        lambda2(GLattice.trivial(c2, rank=50))       # rank 1225
+    with pytest.raises(BudgetExceeded):
+        gamma2(GLattice.trivial(c2, rank=49))        # rank 1176 + 49
 
 
 def test_apply_agrees_with_matrix():
@@ -197,7 +216,8 @@ def test_diag_block_composition_identity():
         b = np.array([[rng.randrange(-3, 4) for _ in range(n)]
                       for _ in range(n)])
         lhs = _diag_block(a @ b)
-        rhs = (_diag_block(a) @ _wedge_matrix(b) + (a % 2) @ _diag_block(b))
+        rhs = (_diag_block(a) @ _wedge_minors_of_map(b)
+               + (a % 2) @ _diag_block(b))
         assert not ((lhs - rhs) % 2).any()
 
 
@@ -730,6 +750,38 @@ def test_alpha_budgets():
         alpha_image(fat)
 
 
+_ALLOCATION_PROBE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cohlat.errors import BudgetExceeded
+from cohlat.groups import builtin_group
+from cohlat.lattices import alpha_image, builtin_lattice, gamma2, lambda2
+m = builtin_lattice("M", builtin_group("D8"))
+for build in (alpha_image, lambda2, gamma2):
+    try:
+        build(m)
+        print(build.__name__, "built")
+    except BudgetExceeded:
+        print(build.__name__, "BudgetExceeded")
+    except MemoryError:
+        print(build.__name__, "MemoryError")
+"""
+
+
+def test_budgets_raise_before_they_allocate():
+    # M of D8 is dense of rank 225: its wedge square has rank 25200, one
+    # 4.7 GiB matrix per generator. Under a 2 GiB address-space limit,
+    # building before checking fails with MemoryError.
+    src = os.path.dirname(os.path.dirname(cohlat.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _ALLOCATION_PROBE],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["alpha_image", "BudgetExceeded",
+                                  "lambda2", "BudgetExceeded",
+                                  "gamma2", "BudgetExceeded"]
+
+
 def test_coflasque_permutation_fast_path():
     reg = GLattice.regular(builtin_group("D4"))
     res = coflasque_resolution(reg)
@@ -793,7 +845,7 @@ def test_orbit_sums_span_the_evaluated_fixed_points(name):
     # read off the permutation cover itself
     g = builtin_group(name)
     lat = builtin_lattice("M", g)
-    blocks = lattices._top_down_blocks(lat)
+    blocks = lattices._top_down_blocks(lat, subgroup_classes(g))
     res = coflasque_resolution(lat)
     for sub in subgroup_classes(g):
         fixed = res.cover.fixed_rows(list(sub.elements))
@@ -806,7 +858,7 @@ def test_free_cover_alone_fails_the_coflasque_check(monkeypatch):
     v4 = builtin_group("V4")
     lat = builtin_lattice("M", v4)
 
-    def free_only(lat):
+    def free_only(lat, classes):
         return [lattices._CoverBlock.of(lat, Subgroup(v4, [0]),
                                         np.eye(lat.rank, dtype=np.int64))]
     monkeypatch.setattr(lattices, "_top_down_blocks", free_only)

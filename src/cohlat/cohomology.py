@@ -21,6 +21,8 @@ from .resolution import (MAX_RESOLUTION_DEGREE, _lift,
                          diagonal_approximation, extend_resolution,
                          lift_chain_map, minimal_resolution, restrict_complex)
 
+BAR_MAX_ENTRIES = 70000    # |G|^(degree + 1) cap on the bar-complex oracle
+
 
 def default_modulus_exp(group: FiniteGroup) -> int:
     """v2(|G|) + 1: enough headroom for every integral Bockstein we take."""
@@ -373,14 +375,14 @@ def _bar_delta(group: FiniteGroup, i: int) -> np.ndarray:
     return d
 
 
-def bar_cohomology_invariants(group: FiniteGroup, degree: int, m_exp: int,
-                              budget: int = 70000) -> List[int]:
+def bar_cohomology_invariants(group: FiniteGroup, degree: int,
+                              m_exp: int) -> List[int]:
     """H^degree(G, Z/2^m) straight from the bar complex.
 
     No resolutions, no minimality: an independent (and much larger)
     computation for cross-checking small groups.
     """
-    if group.order ** (degree + 1) > budget:
+    if group.order ** (degree + 1) > BAR_MAX_ENTRIES:
         raise BudgetExceeded("bar complex too large for this group/degree")
     ker = kernel_basis_modk(_bar_delta(group, degree), m_exp)
     if degree == 0:

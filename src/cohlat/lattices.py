@@ -17,7 +17,7 @@ from .errors import (BudgetExceeded, CoflasquenessCheckFailed,
                      IncompatibleOperands, InternalInvariant,
                      NotRankOneKernel, ValidationError)
 from .groups import FiniteGroup, Subgroup, cayley_tree, subgroup_classes
-from .linalg import (GF2Matrix, IntSolver, int_left_kernel,
+from .linalg import (GF2Matrix, IntSolver, _abs_max, int_left_kernel,
                      int_spans_equal, invariant_factors, kernel_basis_modk,
                      modk_quotient_invariant_factors,
                      quotient_invariant_factors, row_hnf)
@@ -35,6 +35,26 @@ def _check_dense_rank(rank: int) -> None:
     if rank > MAX_DENSE_RANK:
         raise BudgetExceeded(
             f"dense lattice rank {rank} exceeds {MAX_DENSE_RANK}")
+
+
+def _exact_product(a: np.ndarray, a_max: int, b: np.ndarray,
+                   b_max: int) -> np.ndarray:
+    """a @ b over Z for action matrices, a_max and b_max bounding |entries|:
+    in int64 while a_max * b_max * (inner size) < 2^63, so no sum can wrap,
+    else in Python ints; a product that leaves int64 raises ValidationError."""
+    if a_max * b_max * a.shape[1] < 1 << 63:
+        return a @ b
+    out = a.astype(object) @ b.astype(object)
+    if _abs_max(out) >= 1 << 63:
+        raise ValidationError("products of action matrices leave int64")
+    return out.astype(np.int64)
+
+
+def _reads_zero(d: np.ndarray, mask: Optional[np.ndarray]) -> bool:
+    """Whether d is zero, its rows under mask read mod 2 (d is scratch)."""
+    if mask is not None:
+        d[mask] %= 2
+    return not d.any()
 
 
 class GLattice:
@@ -61,9 +81,11 @@ class GLattice:
         else:
             self._gen_mats = [np.asarray(m, dtype=np.int64)
                               for m in gen_actions]
+            self._gen_max = [_abs_max(m) for m in self._gen_mats]
             self.rank = (self._gen_mats[0].shape[0] if self._gen_mats
                          else (rank if rank is not None else 0))
         self._cache = {}
+        self._amax = {0: 1}     # max |entry| of each cached dense matrix
         if rank is not None and rank != self.rank:
             raise ValidationError("stated rank disagrees with the matrices")
         self.permutation = permutation
@@ -100,8 +122,14 @@ class GLattice:
                     self._cache[b] = (pa[ps], sa[ps] * ss)
             else:
                 self._cache[b] = (self._gen_mats[i].copy() if a == 0
-                                  else self._cache[a] @ self._gen_mats[i])
+                                  else self._times_gen(a, i))
+                self._amax[b] = _abs_max(self._cache[b])
         return self._cache[g]
+
+    def _times_gen(self, g: int, i: int) -> np.ndarray:
+        """A(g) A(s_i) for a dense lattice, exact (_exact_product)."""
+        return _exact_product(self._action(g), self._amax[g],
+                              self._gen_mats[i], self._gen_max[i])
 
     def perm_sign(self, g: int) -> Tuple[np.ndarray, np.ndarray]:
         """(p, s) with A(g) e_j = s[j] e_p[j]."""
@@ -126,14 +154,6 @@ class GLattice:
             out[..., p] = s * rows
             return out
         return rows @ self.matrix(g).T
-
-    def _eq_mats(self, a: np.ndarray, b: np.ndarray) -> bool:
-        if self.mod2_mask is None:
-            return bool(np.array_equal(a, b))
-        d = a - b
-        if d[~self.mod2_mask].any():
-            return False
-        return not (d[self.mod2_mask] % 2).any()
 
     def _validate(self):
         if not self.monomial:
@@ -170,8 +190,8 @@ class GLattice:
                 ok = (np.array_equal(pe, pg[ps])
                       and np.array_equal(se, sg[ps] * ss))
             else:
-                ok = self._eq_mats(self.matrix(gs),
-                                   self.matrix(g) @ self._gen_mats[i])
+                ok = _reads_zero(self.matrix(gs) - self._times_gen(g, i),
+                                 self.mod2_mask)
             if not ok:
                 raise ValidationError(
                     "generator actions violate the group relations")
@@ -266,22 +286,9 @@ def direct_sum(*lats: GLattice) -> GLattice:
 # ---------------------------------------------------------------------------
 
 
-def _pair_index(n: int):
-    idx = {}
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            idx[(i, j)] = len(pairs)
-            pairs.append((i, j))
-    return idx, pairs
-
-
 def _pair_arrays(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    _, pairs = _pair_index(n)
-    if not pairs:
-        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    arr = np.array(pairs, dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
+    """The pairs i < j in lex order, as two index arrays."""
+    return np.triu_indices(n, 1)
 
 
 def _wedge_minors_of_map(a: np.ndarray) -> np.ndarray:
@@ -312,21 +319,14 @@ def lambda2(lat: GLattice) -> GLattice:
     gens = lat.group.generators()
     name = f"wedge2({lat.name or '?'})"
     if lat.monomial:
-        idx, pairs = _pair_index(n)
+        # e_k ^ e_l goes to s_k s_l e_(p_k) ^ e_(p_l), negated when sorting
+        # swaps the pair; pair a < b sits at a(2n - a - 1)/2 + b - a - 1
+        k, l = _pair_arrays(n)
         acts = []
-        for gi in range(len(gens)):
-            p, s = lat._gen_ps[gi]
-            pp = np.zeros(len(pairs), dtype=np.int64)
-            ss = np.zeros(len(pairs), dtype=np.int64)
-            for col, (k, l) in enumerate(pairs):
-                a, b = int(p[k]), int(p[l])
-                sign = int(s[k] * s[l])
-                if a > b:
-                    a, b = b, a
-                    sign = -sign
-                pp[col] = idx[(a, b)]
-                ss[col] = sign
-            acts.append((pp, ss))
+        for p, s in lat._gen_ps:
+            a, b = np.minimum(p[k], p[l]), np.maximum(p[k], p[l])
+            acts.append((a * (2 * n - a - 1) // 2 + b - a - 1,
+                         np.where(p[k] > p[l], -1, 1) * s[k] * s[l]))
         return GLattice(lat.group, acts, rank=m, name=name, validate=False)
     _check_dense_rank(m)
     mats = [_wedge_minors_of_map(lat.matrix(g)) for g in gens]
@@ -376,6 +376,16 @@ def mod2_reduction(lat: GLattice) -> GLattice:
                     name=f"mod2({lat.name or '?'})", validate=False)
 
 
+def _equivariant(f: np.ndarray, src: GLattice, dst: GLattice) -> bool:
+    """Whether A_dst(g) f = f A_src(g) on the generators, reading mod 2 the
+    rows masked in dst, or every row if dst is free and src fully masked."""
+    mask = dst.mod2_mask
+    if mask is None and src.mod2_mask is not None and src.mod2_mask.all():
+        mask = np.ones(dst.rank, dtype=bool)
+    return all(_reads_zero(dst.matrix(g) @ f - f @ src.matrix(g), mask)
+               for g in src.group.generators())
+
+
 @dataclass
 class LatticeSES:
     """Short exact sequence of lattice-like modules with explicit maps."""
@@ -395,12 +405,9 @@ class LatticeSES:
         sub_masked = self.sub.mod2_mask is not None
         if sub_masked and not self.sub.mod2_mask.all():
             raise IncompatibleOperands("partially masked kernel unsupported")
-        comp = (self.proj @ self.inj).copy()
-        if self.quo.mod2_mask is not None:
-            comp[self.quo.mod2_mask] %= 2
-        if sub_masked:
-            comp %= 2
-        if comp.any():
+        mask = (np.ones(self.quo.rank, dtype=bool) if sub_masked
+                else self.quo.mod2_mask)
+        if not _reads_zero(self.proj @ self.inj, mask):
             raise ValidationError("composite is nonzero")
         if sub_masked:
             if GF2Matrix.from_dense(self.inj.T % 2).rank() != self.sub.rank:
@@ -415,19 +422,10 @@ class LatticeSES:
         else:
             if GF2Matrix.from_dense(self.proj % 2).rank() != self.quo.rank:
                 raise ValidationError("projection is not onto mod 2")
-        for g in self.mid.group.generators():
-            d = self.mid.matrix(g) @ self.inj - self.inj @ self.sub.matrix(g)
-            if self.mid.mod2_mask is not None:
-                d[self.mid.mod2_mask] %= 2
-            elif sub_masked:
-                d %= 2
-            if d.any():
-                raise ValidationError("injection is not equivariant")
-            d = self.quo.matrix(g) @ self.proj - self.proj @ self.mid.matrix(g)
-            if self.quo.mod2_mask is not None:
-                d[self.quo.mod2_mask] %= 2
-            if d.any():
-                raise ValidationError("projection is not equivariant")
+        if not _equivariant(self.inj, self.sub, self.mid):
+            raise ValidationError("injection is not equivariant")
+        if not _equivariant(self.proj, self.mid, self.quo):
+            raise ValidationError("projection is not equivariant")
         return self
 
 
@@ -457,11 +455,8 @@ def permutation_splitting(lat: GLattice) -> np.ndarray:
     ses = exterior_ses(lat)
     if (ses.proj @ s != np.eye(m, dtype=np.int64)).any():
         raise InternalInvariant("splitting does not split")
-    for g in lat.group.generators():
-        d = ses.mid.matrix(g) @ s - s @ ses.quo.matrix(g)
-        d[ses.mid.mod2_mask] %= 2
-        if d.any():
-            raise InternalInvariant("splitting is not equivariant")
+    if not _equivariant(s, ses.quo, ses.mid):
+        raise InternalInvariant("splitting is not equivariant")
     return s
 
 
@@ -650,8 +645,7 @@ def h1_integral(group_like, lat: GLattice) -> List[int]:
         return modk_quotient_invariant_factors(
             fixed_mod, fixed_int % (1 << v), v)
     zrows, _ = integral_cocycles(hgrp, mats)
-    brows = np.array([np.concatenate([mt @ vrow - vrow for mt in mats])
-                      for vrow in np.eye(m, dtype=np.int64)])
+    brows = np.hstack([mt.T - np.eye(m, dtype=np.int64) for mt in mats])
     facs = quotient_invariant_factors(zrows, brows)
     if any(f == 0 for f in facs):
         raise InternalInvariant("degree-one cohomology here must be finite")
@@ -885,7 +879,6 @@ def _top_down_blocks(lat: GLattice,
     outside the image, which makes the cover onto. The trivial class never
     adds a summand, since N_1(L) = L.
     """
-    group = lat.group
     blocks: List[_CoverBlock] = []
     for sub in reversed(classes):
         if sub.order == 1:
@@ -904,13 +897,11 @@ def _top_down_blocks(lat: GLattice,
     span = IntSolver(np.vstack([np.zeros((0, lat.rank), dtype=np.int64)]
                                + [b.images.reshape(-1, lat.rank)
                                   for b in blocks]))
-    mats = np.stack([lat.matrix(g) for g in range(group.order)])
-    take = _take_missing(span, np.eye(lat.rank, dtype=np.int64),
-                         lambda i: mats[:, :, i])
+    free, eye = Subgroup(lat.group, [0]), np.eye(lat.rank, dtype=np.int64)
+    take = _take_missing(span, eye, lambda i: _CoverBlock.of(
+        lat, free, eye[i]).images.reshape(-1, lat.rank))
     if take:
-        free = Subgroup(group, [0])
-        blocks.append(_CoverBlock.of(lat, free, np.eye(lat.rank,
-                                                        dtype=np.int64)[take]))
+        blocks.append(_CoverBlock.of(lat, free, eye[take]))
     return blocks
 
 
@@ -993,9 +984,8 @@ def pullback_lattice(data: MNQData,
     group = data.group
     m, m_proj = _marginal_quotient(group)
     quo = resolution.ses.quo
-    if quo.group is not group or quo.rank != m.rank or any(
-            not np.array_equal(quo.matrix(s), m.matrix(s))
-            for s in group.generators()):
+    if quo.group is not group or quo.rank != m.rank or not _equivariant(
+            np.eye(m.rank, dtype=np.int64), m, quo):
         raise IncompatibleOperands(
             "the resolution is not of the marginal quotient of this group")
     n2 = data.rho.shape[1]
@@ -1110,7 +1100,7 @@ def lattice_from_json(group: FiniteGroup, data: dict) -> GLattice:
         entries = [(int(e["element"]),
                     np.asarray(e["matrix"], dtype=np.int64))
                    for e in data["generators"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed lattice description: {exc}") \
             from None
     for el, mat in entries:
@@ -1121,11 +1111,14 @@ def lattice_from_json(group: FiniteGroup, data: dict) -> GLattice:
     tree = cayley_tree(group, [el for el, _ in entries])
     if len(tree.order) != group.order:
         raise ValidationError("listed elements do not generate the group")
-    known = {0: np.eye(rank, dtype=np.int64)}
+    maxes = [_abs_max(mat) for _, mat in entries]
+    known = {0: (np.eye(rank, dtype=np.int64), 1)}
     for b in tree.order[1:]:
-        known[b] = known[tree.parent[b]] @ entries[tree.gen[b]][1]
-    lat = GLattice(group, [known[s] for s in group.generators()], rank=rank,
-                   name="from-json")
+        (a, a_max), i = known[tree.parent[b]], tree.gen[b]
+        prod = _exact_product(a, a_max, entries[i][1], maxes[i])
+        known[b] = (prod, _abs_max(prod))
+    lat = GLattice(group, [known[s][0] for s in group.generators()],
+                   rank=rank, name="from-json")
     for el, mat in entries:
         if not np.array_equal(lat.matrix(el), mat):
             raise ValidationError("matrices are inconsistent with the group")

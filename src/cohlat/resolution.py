@@ -23,6 +23,7 @@ from .linalg import (MAX_MOD_EXP, GF2Matrix, ModKSolver, _word, f2_product,
                      kernel_basis_modk)
 
 MAX_RESOLUTION_DEGREE = 12
+TENSOR_SQUARE_MAX_COORDS = 20000    # per degree, for the diagonal route
 
 
 class GModuleComplex:
@@ -311,14 +312,14 @@ def lift_chain_map(src: GModuleComplex, dst: GModuleComplex,
     return f + [src.extend_rows(through_degree, top, dst, through_degree)]
 
 
-def tensor_square_complex(cx: GModuleComplex, max_degree: int,
-                          budget: int = 20000) -> GModuleComplex:
+def tensor_square_complex(cx: GModuleComplex,
+                          max_degree: int) -> GModuleComplex:
     """Total complex of P (x) P with the diagonal action.
 
     Degree i concatenates blocks (p, q), p+q = i, each of dimension
     dims[p]*dims[q], laid out as a*dims[q] + b so the two partial boundaries
-    are Kronecker products. `budget` bounds the coordinate count of any
-    degree; this construction is only meant for small groups.
+    are Kronecker products. TENSOR_SQUARE_MAX_COORDS bounds the coordinate
+    count of any degree; this construction is only meant for small groups.
     """
     if cx.amb_group is not cx.group:
         raise IncompatibleOperands("tensor square needs a plain resolution")
@@ -335,10 +336,11 @@ def tensor_square_complex(cx: GModuleComplex, max_degree: int,
             blocks.append((p, q, off))
             off += cx.dims[p] * cx.dims[q]
         total = off
-        if total > budget:
+        if total > TENSOR_SQUARE_MAX_COORDS:
             raise BudgetExceeded(
                 f"tensor square degree {i} needs {total} coordinates "
-                f"(> {budget}); group too large for the diagonal route")
+                f"(> {TENSOR_SQUARE_MAX_COORDS}); group too large for the "
+                "diagonal route")
         coord_gen = np.zeros(total, dtype=np.int64)
         coord_elt = np.zeros(total, dtype=np.int64)
         gen_off = 0
@@ -373,8 +375,8 @@ def tensor_square_complex(cx: GModuleComplex, max_degree: int,
                 kb = np.kron(np.eye(dp, dtype=np.int64), cx.boundaries[q])
                 boundary[sl, doff:doff + dp * cx.dims[q - 1]] = sign * kb
         out.add_degree(coord_gen, coord_elt, boundary % cx.mod)
-        # float64 BLAS is exact: entries below 2^MAX_MOD_EXP, at most `budget`
-        # terms per sum, so every sum stays below 2^53
+        # float64 BLAS is exact: entries below 2^MAX_MOD_EXP, at most
+        # TENSOR_SQUARE_MAX_COORDS terms per sum, so every sum stays below 2^53
         if i >= 2 and (out.boundaries[i].astype(np.float64)
                        @ out.boundaries[i - 1] % cx.mod).any():
             raise InternalInvariant("tensor square boundary fails d.d=0")

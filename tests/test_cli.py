@@ -175,3 +175,21 @@ def test_bad_lattice_source(capsys, tmp_path):
     code, _, _ = run(capsys, "phi", "--group", "builtin:C2",
                      "--lattice", str(bad))
     assert code == 2
+
+
+def test_an_int64_wraparound_is_not_an_action(capsys, tmp_path):
+    # A A = (1 - 2^64) I over Z, which int64 products wrap to I
+    a = [[0, 2**32 + 1], [-(2**32 - 1), 0]]
+    path = tmp_path / "wrap.json"
+    path.write_text(json.dumps(
+        {"rank": 2, "generators": [{"element": 1, "matrix": a}]}))
+    for command in ("lattice-info", "phi"):
+        code, out, err = run(capsys, command, "--group", "builtin:C2",
+                             "--lattice", str(path))
+        assert (code, out) == (2, "") and "leave int64" in err
+    # an entry that int64 cannot hold at all is malformed input
+    path.write_text(json.dumps(
+        {"rank": 1, "generators": [{"element": 1, "matrix": [[2**70]]}]}))
+    code, _, err = run(capsys, "lattice-info", "--group", "builtin:C2",
+                       "--lattice", str(path))
+    assert code == 2 and "malformed" in err

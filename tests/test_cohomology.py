@@ -7,7 +7,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from cohlat import resolution
+from cohlat import cohomology, resolution
 from cohlat.cohomology import (GroupCohomology, SubgroupLink,
                                bar_cohomology_invariants, default_modulus_exp)
 from cohlat.errors import (BudgetExceeded, DegreeOutOfRange,
@@ -389,6 +389,14 @@ def test_construction_builds_nothing_and_dims_reach_the_ceiling(monkeypatch):
     assert gc.res.top_degree == 4
     with pytest.raises(BudgetExceeded):
         GroupCohomology(builtin_group("C2"), resolution.MAX_RESOLUTION_DEGREE + 1)
+
+
+def test_bar_oracle_reads_its_budget_constant(monkeypatch):
+    c2 = builtin_group("C2")
+    assert bar_cohomology_invariants(c2, 1, 1) == [2]
+    monkeypatch.setattr(cohomology, "BAR_MAX_ENTRIES", 3)   # |G|^2 = 4
+    with pytest.raises(BudgetExceeded):
+        bar_cohomology_invariants(c2, 1, 1)
 
 
 def test_every_reader_stops_at_max_degree(monkeypatch):

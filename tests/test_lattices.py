@@ -1,6 +1,7 @@
 """Lattice layer: actions, squares, sum-map quotients, covers, obstructions."""
 import dataclasses
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -12,13 +13,14 @@ import pytest
 from cohlat.errors import (BudgetExceeded, CoflasquenessCheckFailed,
                            IncompatibleOperands, InternalInvariant,
                            NotRankOneKernel, ValidationError)
-from cohlat.groups import (FiniteGroup, Subgroup, builtin_group,
-                           cyclic_group, dihedral_group, direct_product,
-                           subgroup_classes)
+from cohlat.groups import (BUILTIN_GROUPS, FiniteGroup, Subgroup,
+                           builtin_group, cyclic_group, dihedral_group,
+                           direct_product, subgroup_classes)
 import cohlat
 from cohlat import lattices, linalg
 from cohlat.lattices import (GLattice, LatticeSES, _coboundary_rows_mod2,
-                             _diag_block, _product_perm, _schreier_walk,
+                             _diag_block, _equivariant, _pair_arrays,
+                             _product_perm, _schreier_walk,
                              _wedge_minors_of_map, alpha_image, build_mnq,
                              builtin_lattice, coflasque_resolution, direct_sum,
                              exterior_of_rank_one_extension, exterior_ses,
@@ -96,6 +98,36 @@ def test_dense_constructions_check_the_rank_they_build():
         lambda2(GLattice.trivial(c2, rank=50))       # rank 1225
     with pytest.raises(BudgetExceeded):
         gamma2(GLattice.trivial(c2, rank=49))        # rank 1176 + 49
+
+
+# A A = (1 - 2^64) I over Z, which int64 products wrap to I
+_WRAPS_TO_ONE = np.array([[0, 2**32 + 1], [-(2**32 - 1), 0]], dtype=np.int64)
+
+
+def test_int64_wraparound_does_not_fake_an_action():
+    c2, c4 = builtin_group("C2"), builtin_group("C4")
+    assert np.array_equal(_WRAPS_TO_ONE @ _WRAPS_TO_ONE, np.eye(2))
+    with pytest.raises(ValidationError, match="leave int64"):
+        GLattice(c2, [_WRAPS_TO_ONE])                      # the relation check
+    with pytest.raises(ValidationError, match="leave int64"):
+        GLattice(c4, [_WRAPS_TO_ONE], validate=False).matrix(2)  # the tree walk
+    for group, elements in ((c2, (1,)), (c4, (3, 1))):   # C4: B B at s^2
+        data = {"rank": 2, "generators": [
+            {"element": el, "matrix": _WRAPS_TO_ONE.tolist()}
+            for el in elements]}
+        with pytest.raises(ValidationError, match="leave int64"):
+            lattice_from_json(group, data)
+
+
+def test_large_entries_compose_exactly_when_products_fit():
+    # A = [[1, 2^62], [0, -1]] squares to I, though its int64 sums could
+    # wrap: the product runs in Python ints and comes back as int64
+    c2 = builtin_group("C2")
+    a = np.array([[1, 1 << 62], [0, -1]], dtype=np.int64)
+    lat = GLattice(c2, [a])
+    assert lat.matrix(1).tolist() == a.tolist()
+    data = {"rank": 2, "generators": [{"element": 1, "matrix": a.tolist()}]}
+    assert lattice_from_json(c2, data).matrix(1).tolist() == a.tolist()
 
 
 def test_apply_agrees_with_matrix():
@@ -201,6 +233,58 @@ def test_lambda2_matches_minors_on_dense_input():
             wedge_coords(a[:, k], a[:, l]).tolist()
 
 
+def test_pair_arrays_are_the_lex_pairs():
+    for n in range(41):
+        i, j = _pair_arrays(n)
+        assert i.dtype == j.dtype == np.int64
+        assert list(zip(i.tolist(), j.tolist())) == \
+            list(itertools.combinations(range(n), 2))
+
+
+def _lambda2_by_pair_loop(lat):
+    """Monomial wedge-square actions from a pair dict and a loop per pair."""
+    pairs = list(itertools.combinations(range(lat.rank), 2))
+    idx = {pair: col for col, pair in enumerate(pairs)}
+    acts = []
+    for p, s in lat._gen_ps:
+        pp = np.zeros(len(pairs), dtype=np.int64)
+        ss = np.zeros(len(pairs), dtype=np.int64)
+        for col, (k, l) in enumerate(pairs):
+            a, b, sign = int(p[k]), int(p[l]), int(s[k] * s[l])
+            if a > b:
+                a, b, sign = b, a, -sign
+            pp[col], ss[col] = idx[(a, b)], sign
+        acts.append((pp, ss))
+    return acts
+
+
+def _monomial_cases():
+    c2 = builtin_group("C2")
+    yield GLattice(c2, [(np.zeros(0, dtype=np.int64),) * 2])        # rank 0
+    yield GLattice(c2, [(np.array([0]), np.array([-1]))])           # rank 1
+    for name in BUILTIN_GROUPS:
+        g = builtin_group(name)
+        if g.order > 16:
+            continue
+        reg = GLattice.regular(g)
+        signs = [induced_sign_lattice(g, x) for x in range(1, g.order)
+                 if int(g.inv[x]) == x]
+        yield from [reg] + signs
+        yield direct_sum(reg, signs[-1])
+        yield direct_sum(*signs[:3], reg)                     # signs first
+
+
+def test_lambda2_monomial_matches_the_pair_loop():
+    cases = list(_monomial_cases())
+    assert len(cases) > 60 and {lat.rank for lat in cases} >= {0, 1}
+    for lat in cases:
+        lam = lambda2(lat)
+        assert lam.monomial and lam.rank == lat.rank * (lat.rank - 1) // 2
+        for (p, s), (pp, ss) in zip(lam._gen_ps, _lambda2_by_pair_loop(lat)):
+            assert p.dtype == s.dtype == np.int64
+            assert p.tobytes() == pp.tobytes() and s.tobytes() == ss.tobytes()
+
+
 def test_diag_block_is_the_square_spill():
     # coefficient of the i-th square in the image of the (k, l) product
     a = np.array([[1, 1], [0, -1]])
@@ -294,6 +378,50 @@ def test_ses_verify_rejects_an_injection_that_drops_rank():
                    proj).verify()
     LatticeSES(sub, mid, quo, np.array([[1, 2], [1, 3], [0, 0]]),
                proj).verify()
+
+
+def test_ses_verify_names_the_map_that_is_not_equivariant():
+    # 0 -> Z -> Z[C2] -> Z^- -> 0, with the end lattices swapped in turn
+    c2 = builtin_group("C2")
+    triv, reg, sign = (GLattice.trivial(c2), GLattice.regular(c2),
+                       GLattice.sign_lattice(c2))
+    inj, proj = np.array([[1], [1]]), np.array([[1, -1]])
+    LatticeSES(triv, reg, sign, inj, proj).verify()
+    with pytest.raises(ValidationError, match="injection is not equivariant"):
+        LatticeSES(sign, reg, sign, inj, proj).verify()
+    with pytest.raises(ValidationError, match="projection is not equivariant"):
+        LatticeSES(triv, reg, triv, inj, proj).verify()
+
+
+def test_splitting_must_be_equivariant():
+    # A = [[1, 1], [0, -1]] is an action but not a permutation: flagged as
+    # one, its square's diagonal spill breaks the product-class splitting
+    lat = GLattice(builtin_group("C2"), [np.array([[1, 1], [0, -1]])],
+                   permutation=True, validate=False)
+    with pytest.raises(InternalInvariant, match="splitting is not equivariant"):
+        permutation_splitting(lat)
+
+
+def test_equivariance_reads_masked_rows_mod_2():
+    c2 = builtin_group("C2")
+    free = GLattice.trivial(c2)
+    f = np.array([[1], [0]])
+
+    def masked(a, mask=(False, True)):
+        return GLattice(c2, [np.array(a)], mod2_mask=np.array(mask))
+    # dst has a free row and a masked one; A_dst f - f A_src lands in them
+    assert _equivariant(f, free, masked([[1, 0], [2, 1]]))    # even, masked
+    assert not _equivariant(f, free, masked([[1, 0], [1, 1]]))  # odd, masked
+    assert not _equivariant(f, free, masked([[-1, 0], [0, 1]]))  # even, free
+    # a fully masked src reads every row mod 2, unless dst has a mask
+    sign = GLattice.sign_lattice(c2)
+    assert _equivariant(np.array([[1]]), mod2_reduction(free), sign)
+    assert not _equivariant(np.array([[1]]), free, sign)
+    half = GLattice(c2, [np.eye(2, dtype=np.int64)],
+                    mod2_mask=np.array([False, True]))
+    assert not _equivariant(np.array([[1, 0]]), half, sign)
+    assert not _equivariant(f, mod2_reduction(free),
+                            masked([[-1, 0], [0, 1]]))
 
 
 def test_ses_verify_rejects_partial_mask():

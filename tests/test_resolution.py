@@ -163,6 +163,15 @@ def test_tensor_square_budget():
         tensor_square_complex(cx, 1)
 
 
+def test_tensor_square_reads_its_budget_constant(monkeypatch):
+    cx = minimal_resolution(builtin_group("C2"), 1, 1)
+    tensor_square_complex(cx, 1)
+    monkeypatch.setattr(resolution, "TENSOR_SQUARE_MAX_COORDS", 1)
+    with pytest.raises(BudgetExceeded,
+                       match=r"degree 0 needs 4 coordinates \(> 1\)"):
+        tensor_square_complex(cx, 1)
+
+
 def test_sz8_low_degrees():
     g = builtin_group("sz8-sylow")
     cx = minimal_resolution(g, 7, 3)

@@ -17,9 +17,9 @@ from .errors import (BudgetExceeded, CoflasquenessCheckFailed,
                      IncompatibleOperands, InternalInvariant,
                      NotRankOneKernel, ValidationError)
 from .groups import FiniteGroup, Subgroup, cayley_tree, subgroup_classes
-from .linalg import (GF2Matrix, IntSolver, _abs_max, int_left_kernel,
-                     int_spans_equal, invariant_factors, kernel_basis_modk,
-                     modk_quotient_invariant_factors,
+from .linalg import (GF2Matrix, IntSolver, _abs_max, f2_product,
+                     int_left_kernel, int_spans_equal, invariant_factors,
+                     kernel_basis_modk, modk_quotient_invariant_factors,
                      quotient_invariant_factors, row_hnf)
 
 MAX_DENSE_RANK = 1200
@@ -28,6 +28,7 @@ H1_MAX_RANK = 300
 # stays under H1_MAX_RANK there (rank 256 at most, on D8 and Q16), and an
 # order-16 phi takes 0.5-1.6 s on one core
 ALPHA_MAX_ORDER = 16
+ALPHA_MAX_WEDGE_COLUMNS = 4000   # alpha's fixed-point columns: rank(W) * gens
 
 
 def _check_dense_rank(rank: int) -> None:
@@ -341,8 +342,6 @@ def _diag_block(a: np.ndarray) -> np.ndarray:
     a_ik * a_il.
     """
     k, l = _pair_arrays(a.shape[0])
-    if k.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=np.int64)
     return (a[:, k] * a[:, l]) % 2
 
 
@@ -668,7 +667,8 @@ def _schreier_walk(group: FiniteGroup, mats: List[np.ndarray]):
     d group generators, concatenated into one vector x of d*m unknowns.
     Returns (coeff, system): z(g) = coeff[g] @ x for every element g, and
     the cocycle conditions are x @ system = 0, one column block per edge
-    outside the BFS tree (a Schreier generator of the relation group).
+    outside the BFS tree (a Schreier generator of the relation group). Two
+    readers: integral_cocycles, and alpha_image, which reads system mod 2.
     """
     gens = group.generators()
     d = len(gens)
@@ -718,13 +718,28 @@ def integral_cocycles(group: FiniteGroup, mats: List[np.ndarray]):
 # ---------------------------------------------------------------------------
 
 
+def _relator_values(group: FiniteGroup, c) -> np.ndarray:
+    """A normalized two-cochain mod 2, given as c(a, s) for s a generator, on
+    the Schreier relators in the column order of _schreier_walk's system:
+    u(1) = 0 and u(a s) = u(a) + c(a, s) down the tree, and a non-tree edge
+    a -> b = a s reads u(a) + c(a, s) - u(b)."""
+    gens, u, out = group.generators(), {0: 0}, []
+    for a, i, b, is_tree in group.spanning_tree().edges:
+        val = u[a] ^ c(a, gens[i])
+        if is_tree:
+            u[b] = val
+        else:
+            out.append(val ^ u[b])
+    return np.concatenate(out, axis=-1)
+
+
 def alpha_image(lat: GLattice) -> List[int]:
     """Invariant factors of the image of the connecting map taking degree-one
     classes of the wedge square W into degree-two mod-2 classes of L.
 
     At cocycle level: lift a W-valued cocycle z into the divided square with
     zero diagonal part, apply the differential, and read the diagonal spill,
-    D_g z(h) mod 2 at (g, h) (_diag_block); it is linear in z mod 2.
+    c(g, h) = D_g z(h) mod 2 (_diag_block); it is linear in z mod 2.
 
     Cocycles. With 2^k the two-part of |G| and v fixed mod 2^k, z_v(h) =
     (A_h v - v) / 2^k is an integral cocycle. Summing the cocycle rule of any
@@ -733,6 +748,15 @@ def alpha_image(lat: GLattice) -> List[int]:
     coboundary delta w spills a coboundary: the zero-diagonal lift of delta w
     is delta(lift of w) minus the L/2-valued cochain h -> D_h w. So the image
     is the span of the z_v's spills modulo the coboundaries.
+
+    Relators. Two-cochains are read on the n(d - 1) + 1 Schreier relators
+    t_a s t_b^-1 of the d generators (_relator_values), not on the n^2
+    pairs. They generate the relation subgroup, so Z[G]^relators -> Z[G]^d
+    -> Z[G] -> Z is exact through degree two. A cocycle's relator values
+    are its pull-back (lift the generators into the extension it defines),
+    and it is a coboundary exactly when they lie in the image of d_2^*,
+    _schreier_walk's closing system. All is read mod 2, so no sign enters,
+    and z_v is read at the generators alone: a row they fix, G fixes.
     """
     if lat.mod2_mask is not None:
         raise IncompatibleOperands("connecting image needs a free lattice")
@@ -745,62 +769,29 @@ def alpha_image(lat: GLattice) -> List[int]:
     ml = lat.rank
     m = ml * (ml - 1) // 2
     gens = group.generators()
-    if m * len(gens) > 4000:
+    if m * len(gens) > ALPHA_MAX_WEDGE_COLUMNS:
         raise BudgetExceeded(
             f"fixed-point system on the wedge square has {m * len(gens)} "
-            "columns, over the 4000 budget")
+            f"columns, over the {ALPHA_MAX_WEDGE_COLUMNS} budget")
     two = n & -n
     if m == 0 or two == 1:
         return []    # odd order: degree-two classes mod 2 vanish
     # the wedge square's generator matrices, within the budget just checked
-    fixed = _fixed_points_mod2k(
-        n, [_wedge_minors_of_map(lat.matrix(s)) for s in gens])[0].matrix
-    nb = fixed.shape[0]
-    # A_h acts on W by 2x2 minors: v as an antisymmetric X goes to A_h X A_h^T
-    i, j = _pair_arrays(ml)
-    x = np.zeros((nb, ml, ml), dtype=np.int64)
-    x[:, i, j] = fixed
-    x[:, j, i] = -fixed
-    # z_v mod 2 needs A_h v mod 2^(k+1): A_h enters reduced into [0, mod)
-    mod = 2 * two
-    if ml * ml * (mod - 1) ** 2 * (two - 1) >= 1 << 63:
-        raise BudgetExceeded("wedge action products would leave int64")
-    # float32 products of 0/1 entries are exact: sums stay below 2**24
-    dall = np.concatenate([_diag_block(lat.matrix(g)).T for g in range(n)],
-                          axis=1).astype(np.float32)
-    spills = np.zeros((nb, n, n, ml), dtype=np.uint8)    # (v, g, h, i)
-    for h in range(1, n):  # the identity fixes v: z = 0, its spills stay 0
-        a = lat.matrix(h) % mod
-        diff = ((a @ x) @ a.T)[:, i, j] - fixed
+    wedge = [_wedge_minors_of_map(lat.matrix(s)) for s in gens]
+    fixed = _fixed_points_mod2k(n, wedge)[0].matrix
+    # z_v(s) mod 2 needs W_s v mod 2^(k+1). Products are exact: float64 sums
+    # stay below 2 * 4^k * rank(W) < 2**53, float32 ones of 0/1 below 2**24
+    zs = {}
+    for s, w in zip(gens, wedge):
+        diff = fixed @ (w.T % (2 * two)).astype(np.float64) - fixed
         if (diff % two).any():
             raise InternalInvariant("a row fixed mod 2^k moved mod 2^k")
-        z = ((diff // two) & 1).astype(np.float32)
-        spills[:, :, h] = ((z @ dall) % 2).reshape(nb, n, ml)
-    cob = _coboundary_rows_mod2(group, lat)
+        zs[s] = (diff // two % 2).astype(np.float32)
+    spills = _relator_values(group, lambda g, s: f2_product(
+        zs[s], _diag_block(lat.matrix(g)).T.astype(np.float32)))
+    cob = _schreier_walk(group, [lat.matrix(s) for s in gens])[1]
     rank0 = GF2Matrix.from_dense(cob).rank()
-    both = GF2Matrix.from_dense(
-        np.vstack([cob, spills.reshape(nb, n * n * ml)]))
-    return [2] * (both.rank() - rank0)
-
-
-def _coboundary_rows_mod2(group: FiniteGroup, lat: GLattice) -> np.ndarray:
-    """Rows spanning the coboundaries of one-cochains valued in the lattice
-    mod 2; two-cochain coordinates are (g, h, i) flattened in that order."""
-    n = group.order
-    m = lat.rank
-    t = group.table
-    rows = np.zeros((n * m, n * n * m), dtype=np.uint8)
-    mats = {g: (lat.matrix(g) % 2).astype(np.uint8) for g in range(n)}
-    for h in range(n):
-        for i in range(m):
-            col = np.zeros((n, n, m), dtype=np.uint8)
-            for g in range(n):
-                col[g, h] ^= mats[g][:, i]        # g . w(h)
-            for g, k in zip(*np.nonzero(t == h)):
-                col[g, k, i] ^= 1                 # w(gh)
-            col[h, :, i] ^= 1                     # w(g)
-            rows[h * m + i] = col.reshape(-1)
-    return rows
+    return [2] * (GF2Matrix.from_dense(np.vstack([cob, spills])).rank() - rank0)
 
 
 # ---------------------------------------------------------------------------

@@ -240,9 +240,6 @@ class GF2Matrix:
         bits = np.unpackbits(raw, axis=1, bitorder="little")
         return bits[:, : self.ncols].copy()
 
-    def copy(self) -> "GF2Matrix":
-        return GF2Matrix(self.nrows, self.ncols, self.words.copy())
-
     def rref(self, transform: bool = False):
         """Reduced row echelon form; returns (rref, pivot_cols, transform_or_None).
 

@@ -18,9 +18,9 @@ from cohlat.groups import (BUILTIN_GROUPS, FiniteGroup, Subgroup,
                            direct_product, subgroup_classes)
 import cohlat
 from cohlat import lattices, linalg
-from cohlat.lattices import (GLattice, LatticeSES, _coboundary_rows_mod2,
-                             _diag_block, _equivariant, _pair_arrays,
-                             _product_perm, _schreier_walk,
+from cohlat.lattices import (GLattice, LatticeSES, _diag_block,
+                             _equivariant, _pair_arrays, _product_perm,
+                             _relator_values, _schreier_walk,
                              _wedge_minors_of_map, alpha_image, build_mnq,
                              builtin_lattice, coflasque_resolution, direct_sum,
                              exterior_of_rank_one_extension, exterior_ses,
@@ -800,6 +800,72 @@ def test_alpha_rank_one_is_empty():
     assert alpha_image(GLattice.trivial(builtin_group("C2"))) == []
 
 
+def _coboundary_rows_mod2(group, lat):
+    """Rows spanning the coboundaries of one-cochains valued in the lattice
+    mod 2; two-cochain coordinates are (g, h, i) flattened in that order."""
+    n = group.order
+    m = lat.rank
+    t = group.table
+    rows = np.zeros((n * m, n * n * m), dtype=np.uint8)
+    mats = {g: (lat.matrix(g) % 2).astype(np.uint8) for g in range(n)}
+    for h in range(n):
+        for i in range(m):
+            col = np.zeros((n, n, m), dtype=np.uint8)
+            for g in range(n):
+                col[g, h] ^= mats[g][:, i]        # g . w(h)
+            for g, k in zip(*np.nonzero(t == h)):
+                col[g, k, i] ^= 1                 # w(gh)
+            col[h, :, i] ^= 1                     # w(g)
+            rows[h * m + i] = col.reshape(-1)
+    return rows
+
+
+def _alpha_by_bar_pairs(lat):
+    """The connecting image by the former route: the spills D_g z_v(h) at
+    all n^2 pairs (g, h), modulo the bar coboundaries of L/2-valued
+    one-cochains."""
+    if lat.mod2_mask is not None:
+        raise IncompatibleOperands("connecting image needs a free lattice")
+    group = lat.group
+    n = group.order
+    if n > lattices.ALPHA_MAX_ORDER:
+        raise BudgetExceeded("group order over the connecting-map budget")
+    ml = lat.rank
+    m = ml * (ml - 1) // 2
+    gens = group.generators()
+    if m * len(gens) > lattices.ALPHA_MAX_WEDGE_COLUMNS:
+        raise BudgetExceeded("wedge fixed-point system over its budget")
+    two = n & -n
+    if m == 0 or two == 1:
+        return []    # odd order: degree-two classes mod 2 vanish
+    fixed = lattices._fixed_points_mod2k(
+        n, [_wedge_minors_of_map(lat.matrix(s)) for s in gens])[0].matrix
+    nb = fixed.shape[0]
+    # A_h acts on W by 2x2 minors: v as an antisymmetric X goes to A_h X A_h^T
+    i, j = _pair_arrays(ml)
+    x = np.zeros((nb, ml, ml), dtype=np.int64)
+    x[:, i, j] = fixed
+    x[:, j, i] = -fixed
+    # z_v mod 2 needs A_h v mod 2^(k+1): A_h enters reduced into [0, mod)
+    mod = 2 * two
+    assert ml * ml * (mod - 1) ** 2 * (two - 1) < 1 << 63
+    # float32 products of 0/1 entries are exact: sums stay below 2**24
+    dall = np.concatenate([_diag_block(lat.matrix(g)).T for g in range(n)],
+                          axis=1).astype(np.float32)
+    spills = np.zeros((nb, n, n, ml), dtype=np.uint8)    # (v, g, h, i)
+    for h in range(1, n):  # the identity fixes v: z = 0, its spills stay 0
+        a = lat.matrix(h) % mod
+        diff = ((a @ x) @ a.T)[:, i, j] - fixed
+        assert not (diff % two).any()
+        z = ((diff // two) & 1).astype(np.float32)
+        spills[:, :, h] = ((z @ dall) % 2).reshape(nb, n, ml)
+    cob = _coboundary_rows_mod2(group, lat)
+    rank0 = GF2Matrix.from_dense(cob).rank()
+    both = GF2Matrix.from_dense(
+        np.vstack([cob, spills.reshape(nb, n * n * ml)]))
+    return [2] * (both.rank() - rank0)
+
+
 def _alpha_by_mod2_cocycles(lat):
     """The connecting image by the former route: integral cocycles of the
     wedge square read mod 2 off the Schreier system mod 2^(v2|G|+1), and
@@ -852,6 +918,130 @@ def test_alpha_vanishes_at_odd_order():
                                          ("C2xC2xC2", [2] * 8)])
 def test_alpha_on_marginal_quotients_of_order_8(name, expect):
     assert alpha_image(builtin_lattice("M", builtin_group(name))) == expect
+
+
+ORDER_8 = ["C8", "C4xC2", "C2xC2xC2", "D4", "Q8"]
+
+
+def _involution(g):
+    return min(x for x in range(1, g.order) if int(g.inv[x]) == x)
+
+
+def _bar_route_cases(family):
+    """(label, lattice) pairs the relator route is checked on."""
+    m = {name: builtin_lattice("M", builtin_group(name))
+         for name in SMALL_BUILTINS}
+    if family == "kernels":
+        return [(name, coflasque_resolution(m[name]).kernel_lattice)
+                for name in SMALL_BUILTINS]
+    if family == "padded":
+        return [(name, coflasque_resolution(m[name], pad_free=1)
+                 .kernel_lattice) for name in ["C2", "C4", "V4"] + ORDER_8]
+    if family == "untrimmed":
+        return [(name, coflasque_resolution(m[name], trim=False)
+                 .kernel_lattice) for name in ["C2", "C4", "V4"]]
+    if family == "order-8 M":
+        return [(name, m[name]) for name in ORDER_8]
+    if family == "sums":
+        cases = []
+        for name in ["V4", "C4xC2", "D4"]:
+            g = builtin_group(name)
+            cases += [(name + " M+sign",
+                       direct_sum(m[name], GLattice.sign_lattice(g))),
+                      (name + " M+induced-sign",
+                       direct_sum(m[name],
+                                  induced_sign_lattice(g, _involution(g))))]
+        return cases
+    cases = []
+    for name, g in [("C6", cyclic_group(6)), ("D3", dihedral_group(6)),
+                    ("C10", cyclic_group(10)), ("D5", dihedral_group(10)),
+                    ("C12", cyclic_group(12)), ("D6", dihedral_group(12))]:
+        ind = induced_sign_lattice(g, _involution(g))
+        lats = [GLattice.regular(g), GLattice.trivial(g, 2),
+                builtin_lattice("M", g), ind, lambda2(ind)]
+        try:
+            lats.append(GLattice.sign_lattice(g))
+        except ValidationError:    # a generator of odd order: D3, D5
+            pass
+        cases += [(f"{name} {lat.name}", lat) for lat in lats]
+    return cases
+
+
+def _alpha_or_budget(route, lat):
+    try:
+        return route(lat)
+    except BudgetExceeded:
+        return "BudgetExceeded"
+
+
+@pytest.mark.parametrize("family", ["kernels", "padded", "untrimmed",
+                                    "order-8 M", "sums", "off 2-groups"])
+def test_alpha_matches_the_bar_pairs_route(family):
+    got = {}
+    for label, lat in _bar_route_cases(family):
+        got[label] = _alpha_or_budget(alpha_image, lat)
+        assert got[label] == _alpha_or_budget(_alpha_by_bar_pairs, lat), label
+    if family == "off 2-groups":
+        # M over C10 fits the wedge budget; over D5, C12 and D6 it does not
+        assert [k for k, v in got.items() if v == "BudgetExceeded"] == [
+            "D5 marginal-quotient", "C12 marginal-quotient",
+            "D6 marginal-quotient"]
+
+
+def _inflated_from_v4(other):
+    """M(V4) as a lattice over other x V4, through the projection to V4."""
+    v4 = builtin_group("V4")
+    g = direct_product(other, v4)
+    m = builtin_lattice("M", v4)
+    return GLattice(g, [m.matrix(s % v4.order) for s in g.generators()],
+                    name="inflated-M")
+
+
+@pytest.mark.parametrize("other", [3, 2, 4])
+def test_alpha_is_nonzero_off_2_groups(other):
+    lat = _inflated_from_v4(cyclic_group(other))
+    assert alpha_image(lat) == _alpha_by_bar_pairs(lat) == [2, 2]
+
+
+def _walk_cases():
+    groups = [builtin_group(name) for name in ["C2", "V4", "D4", "Q8",
+                                               "C4xC4"]]
+    groups += [cyclic_group(6), dihedral_group(6),
+               direct_product(cyclic_group(3), builtin_group("V4"))]
+    for g in groups:
+        yield GLattice.regular(g)
+        yield induced_sign_lattice(g, _involution(g))
+        if g.order <= 8:
+            yield builtin_lattice("M", g)
+
+
+def test_relator_values_of_a_coboundary_are_the_closing_system():
+    # the relator values of delta f, (delta f)(a, s) = a f(s) - f(as) + f(a),
+    # are x @ system mod 2 with x = (f(s_1), ..., f(s_d)); a batch of three
+    # random f: G -> L/2 at once, f(1) not forced to 0
+    rng = np.random.default_rng(7)
+    for lat in _walk_cases():
+        g = lat.group
+        gens = g.generators()
+        f = rng.integers(0, 2, (3, g.order, lat.rank))
+        mats = {a: lat.matrix(a) & 1 for a in range(g.order)}
+
+        def delta_f(a, s):
+            return (f[:, s] @ mats[a].T + f[:, g.table[a, s]] + f[:, a]) & 1
+        got = _relator_values(g, delta_f)
+        x = np.concatenate([f[:, s] for s in gens], axis=1)
+        system = _schreier_walk(g, [lat.matrix(s) for s in gens])[1]
+        assert got.shape == (3, (g.order * (len(gens) - 1) + 1) * lat.rank)
+        assert np.array_equal(got, (x @ system) & 1), (g.order, lat.name)
+
+
+def test_alpha_reads_its_budget_constant(monkeypatch):
+    lat = builtin_lattice("M", builtin_group("V4"))   # 36 wedge coords x 2
+    monkeypatch.setattr(lattices, "ALPHA_MAX_WEDGE_COLUMNS", 72)
+    assert alpha_image(lat) == [2, 2]
+    monkeypatch.setattr(lattices, "ALPHA_MAX_WEDGE_COLUMNS", 71)
+    with pytest.raises(BudgetExceeded, match="72 columns, over the 71"):
+        alpha_image(lat)
 
 
 def test_alpha_rejects_a_row_that_is_not_fixed(monkeypatch):

@@ -13,12 +13,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import (BudgetExceeded, DegreeOutOfRange, IncompatibleOperands,
-                     ModulusTooSmall, NotA2Group)
+                     InternalInvariant, ModulusTooSmall, NotA2Group)
 from .groups import FiniteGroup, Subgroup
 from .linalg import (HowellForm, Subspace, kernel_basis_modk,
                      modk_quotient_invariant_factors)
-from .resolution import (MAX_RESOLUTION_DEGREE, _lift,
-                         diagonal_approximation, extend_resolution,
+from .resolution import (MAX_RESOLUTION_DEGREE, _lift, extend_resolution,
                          lift_chain_map, minimal_resolution, restrict_complex)
 
 BAR_MAX_ENTRIES = 70000    # |G|^(degree + 1) cap on the bar-complex oracle
@@ -176,33 +175,6 @@ class GroupCohomology:
         mat = self.cup_map(a_deg, b_deg, b)
         return mat @ _class_vector(a, mat.shape[1]) % 2
 
-    def cup_via_diagonal(self, a_deg: int, a: np.ndarray, b_deg: int,
-                         b: np.ndarray) -> np.ndarray:
-        """Same product through an explicit diagonal approximation.
-
-        Exponentially larger; only for cross-checking small groups.
-        """
-        total = a_deg + b_deg
-        self._check_degree(total)
-        res = self.res
-        tens, maps = diagonal_approximation(res, total)
-        a = np.asarray(a, dtype=np.int64) % 2
-        b = np.asarray(b, dtype=np.int64) % 2
-        gen_rows = maps[total][res.gen_coords(total)] % 2
-        # evaluate (a tensor b) on the (a_deg, b_deg) block coordinates
-        out = np.zeros(res.ranks[total], dtype=np.int64)
-        offset = 0
-        for p in range(total + 1):
-            q = total - p
-            dp, dq = res.dims[p], res.dims[q]
-            if p == a_deg:
-                block = gen_rows[:, offset:offset + dp * dq]
-                weights = (a[res.coord_gen[p]][:, None]
-                           * b[res.coord_gen[q]][None, :]).ravel()
-                out = (out + block @ weights) % 2
-            offset += dp * dq
-        return out % 2
-
     # -- connecting maps ---------------------------------------------------
 
     def bockstein(self, degree: int, vec: np.ndarray, m_exp: int
@@ -225,36 +197,46 @@ class GroupCohomology:
         """First Steenrod square = mod-2 Bockstein."""
         return self.bockstein(degree, vec, 1)
 
+    def _basis_bocksteins(self, degree: int, m_exp: int) -> np.ndarray:
+        """Bocksteins to Z/2^m_exp of H^degree's basis classes, as rows.
+
+        Row i of delta(degree, m_exp + 1) is the coboundary of basis cochain
+        i; it vanishes mod 2 on a minimal resolution, and its half is that
+        class's Bockstein.
+        """
+        d = self.delta(degree, m_exp + 1)
+        if (d & 1).any():
+            raise InternalInvariant(
+                f"odd differential in degree {degree}: not minimal")
+        return d >> 1
+
     def sq1_image(self, degree: int) -> Subspace:
         """Image of Sq1: H^(degree-1) -> H^degree with F2 coefficients."""
         self._check_degree(degree)
-        if degree == 0:
-            return Subspace.zero(self.h_dim(0))
-        r = self.h_dim(degree - 1)
-        rows = [self.sq1(degree - 1, e) for e in np.eye(r, dtype=np.int64)]
-        if not rows:
-            return Subspace.zero(self.h_dim(degree))
-        return Subspace.span(np.array(rows), self.h_dim(degree))
+        dim = self.res.ranks[degree]
+        if degree == 0 or dim == 0:
+            return Subspace.zero(dim)
+        return Subspace.span(self._basis_bocksteins(degree - 1, 1), dim)
 
     def integral_reduction_image(self, degree: int) -> Subspace:
         """Image of H^degree(G, Z) -> H^degree(G, F2).
 
         A mod-2 class comes from an integral class exactly when its
         Bockstein to Z/|G| coefficients vanishes; that kernel is computed
-        through one augmented-kernel pass mod |G|.
+        through one augmented-kernel pass mod |G|. In degree 0 the map
+        Z -> F2 is onto for every G.
         """
         self._check_degree(degree, slack=1)
-        k0 = default_modulus_exp(self.group) - 1  # 2^k0 = |G|
-        r = self.h_dim(degree)
+        r = self.res.ranks[degree]
         if r == 0:
             return Subspace.zero(0)
-        basis = np.eye(r, dtype=np.int64)
-        w = np.array([self.bockstein(degree, e, k0) for e in basis])
-        b = self.delta(degree, k0) % (1 << k0)
-        stacked = np.vstack([w, b])
+        if degree == 0:
+            return Subspace.span([[1]], 1)
+        k0 = default_modulus_exp(self.group) - 1  # 2^k0 = |G|
+        stacked = np.vstack([self._basis_bocksteins(degree, k0),
+                             self.delta(degree, k0)])
         ker = kernel_basis_modk(stacked, k0).matrix
-        lam = ker[:, :r] % 2
-        return Subspace.span(lam, r)
+        return Subspace.span(ker[:, :r] % 2, r)
 
 
 class SubgroupLink:

@@ -442,23 +442,6 @@ def exterior_ses(lat: GLattice) -> LatticeSES:
     return LatticeSES(sub, gam, lam, inj, proj).verify()
 
 
-def permutation_splitting(lat: GLattice) -> np.ndarray:
-    """Equivariant right inverse of the star-to-wedge projection for a
-    permutation lattice: e_i ^ e_j goes to the product class of e_i e_j."""
-    if not lat.permutation:
-        raise IncompatibleOperands("splitting needs a permutation lattice")
-    n = lat.rank
-    m = n * (n - 1) // 2
-    s = np.vstack([np.eye(m, dtype=np.int64),
-                   np.zeros((n, m), dtype=np.int64)])
-    ses = exterior_ses(lat)
-    if (ses.proj @ s != np.eye(m, dtype=np.int64)).any():
-        raise InternalInvariant("splitting does not split")
-    if not _equivariant(s, ses.quo, ses.mid):
-        raise InternalInvariant("splitting is not equivariant")
-    return s
-
-
 def exterior_of_rank_one_extension(ses: LatticeSES) -> LatticeSES:
     """From 0 -> Z -> X -> Y -> 0 build 0 -> Y -> wedge2(X) -> wedge2(Y) -> 0.
 
@@ -694,7 +677,8 @@ def integral_cocycles(group: FiniteGroup, mats: List[np.ndarray]):
 
     Returns (rows, expand): each row holds a cocycle's values on the group
     generators (concatenated), and expand(row) tabulates the values on every
-    element. Cocycle rule: z(gh) = z(g) + g z(h).
+    element. Cocycle rule: z(gh) = z(g) + g z(h). h1_integral reads rows
+    only; the pair stays because perfbench's tracer counts out[0].shape[1].
     """
     d = len(group.generators())
     m = mats[0].shape[0] if mats else 0
@@ -896,16 +880,15 @@ def _top_down_blocks(lat: GLattice,
     return blocks
 
 
-def coflasque_resolution(lat: GLattice, trim: bool = True,
+def coflasque_resolution(lat: GLattice,
                          pad_free: int = 0) -> CoflasqueResolution:
     """Permutation cover with coflasque kernel, verified subgroup by subgroup.
 
     The cover is a sum of coset lattices tensored with fixed rows of the
-    input; evaluation at coset representatives maps it onto the input. By
-    default the summands are chosen top-down (_top_down_blocks); trim=False
-    takes every subgroup class with every fixed row instead. A permutation
-    lattice is its own cover. pad_free appends redundant free columns,
-    giving an inequivalent resolution for cross-checks.
+    input, chosen top-down (_top_down_blocks); evaluation at coset
+    representatives maps it onto the input. A permutation lattice is its
+    own cover. pad_free appends redundant free columns, giving an
+    inequivalent resolution for cross-checks.
     """
     if lat.mod2_mask is not None:
         raise IncompatibleOperands("resolution needs a free lattice")
@@ -920,11 +903,7 @@ def coflasque_resolution(lat: GLattice, trim: bool = True,
                            np.eye(lat.rank, dtype=np.int64)).verify()
         return CoflasqueResolution(ident, [])
     classes = subgroup_classes(group)
-    if trim:
-        blocks = _top_down_blocks(lat, classes)
-    else:
-        blocks = [_CoverBlock.of(lat, sub, _fixed_rows(
-            lat.rank, lat.restricted_matrices(sub))) for sub in classes]
+    blocks = _top_down_blocks(lat, classes)
     if pad_free:
         pad = np.eye(lat.rank, dtype=np.int64)[:min(pad_free, lat.rank)]
         blocks.append(_CoverBlock.of(lat, Subgroup(group, [0]), pad))
@@ -962,35 +941,6 @@ def coflasque_resolution(lat: GLattice, trim: bool = True,
                 f"kernel has degree-one cohomology {bad} at a subgroup "
                 f"of order {sub.order}")
     return CoflasqueResolution(ses, summands)
-
-
-def pullback_lattice(data: MNQData,
-                     resolution: CoflasqueResolution) -> GLattice:
-    """Kernel of (x, p) -> [x] - eval(p) over the marginal quotient M.
-
-    Replaces the product lattice with a cover whose kernel is coflasque; the
-    result is itself verified coflasque. The resolution must be one of M
-    over data.group, else IncompatibleOperands.
-    """
-    group = data.group
-    m, m_proj = _marginal_quotient(group)
-    quo = resolution.ses.quo
-    if quo.group is not group or quo.rank != m.rank or not _equivariant(
-            np.eye(m.rank, dtype=np.int64), m, quo):
-        raise IncompatibleOperands(
-            "the resolution is not of the marginal quotient of this group")
-    n2 = data.rho.shape[1]
-    ev = resolution.ses.proj
-    solver = IntSolver(int_left_kernel(np.hstack([m_proj, -ev]).T))
-
-    def move(g, rows):
-        return np.hstack([_move_pairs(group, g, rows[:, :n2]),
-                          resolution.cover.apply(g, rows[:, n2:])])
-    out = _sublattice_action(group, solver, move, "pullback-kernel")
-    for sub in subgroup_classes(group):
-        if h1_integral(sub, out):
-            raise CoflasquenessCheckFailed("pullback kernel is not coflasque")
-    return out
 
 
 def phi(group: FiniteGroup, lat: Optional[GLattice] = None,

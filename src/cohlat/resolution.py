@@ -23,7 +23,6 @@ from .linalg import (MAX_MOD_EXP, GF2Matrix, ModKSolver, _word, f2_product,
                      kernel_basis_modk)
 
 MAX_RESOLUTION_DEGREE = 12
-TENSOR_SQUARE_MAX_COORDS = 20000    # per degree, for the diagonal route
 
 
 class GModuleComplex:
@@ -310,88 +309,6 @@ def lift_chain_map(src: GModuleComplex, dst: GModuleComplex,
     gen0 = (np.atleast_2d(gen_rows0) & 1).astype(np.uint8)
     f, top = _lift(src, 0, dst, gen0, through_degree)
     return f + [src.extend_rows(through_degree, top, dst, through_degree)]
-
-
-def tensor_square_complex(cx: GModuleComplex,
-                          max_degree: int) -> GModuleComplex:
-    """Total complex of P (x) P with the diagonal action.
-
-    Degree i concatenates blocks (p, q), p+q = i, each of dimension
-    dims[p]*dims[q], laid out as a*dims[q] + b so the two partial boundaries
-    are Kronecker products. TENSOR_SQUARE_MAX_COORDS bounds the coordinate
-    count of any degree; this construction is only meant for small groups.
-    """
-    if cx.amb_group is not cx.group:
-        raise IncompatibleOperands("tensor square needs a plain resolution")
-    group = cx.group
-    n = group.order
-    t = group.table
-    out = GModuleComplex(group, cx.k)
-    prev_blocks: List[Tuple[int, int, int]] = []
-    for i in range(max_degree + 1):
-        blocks = []
-        off = 0
-        for p in range(i + 1):
-            q = i - p
-            blocks.append((p, q, off))
-            off += cx.dims[p] * cx.dims[q]
-        total = off
-        if total > TENSOR_SQUARE_MAX_COORDS:
-            raise BudgetExceeded(
-                f"tensor square degree {i} needs {total} coordinates "
-                f"(> {TENSOR_SQUARE_MAX_COORDS}); group too large for the "
-                "diagonal route")
-        coord_gen = np.zeros(total, dtype=np.int64)
-        coord_elt = np.zeros(total, dtype=np.int64)
-        gen_off = 0
-        for p, q, off in blocks:
-            dp, dq = cx.dims[p], cx.dims[q]
-            a = np.repeat(np.arange(dp), dq)
-            b = np.tile(np.arange(dq), dp)
-            ga, ea = cx.coord_gen[p][a], cx.coord_elt[p][a]
-            gb, eb = cx.coord_gen[q][b], cx.coord_elt[q][b]
-            # orbit representative: act by ea^-1 on both slots
-            w = t[group.inv[ea], eb]
-            gen_local = (ga * cx.ranks[q] + gb) * n + w
-            coord_gen[off:off + dp * dq] = gen_off + gen_local
-            coord_elt[off:off + dp * dq] = ea
-            gen_off += cx.ranks[p] * cx.ranks[q] * n
-        if i == 0:
-            out.add_degree(coord_gen, coord_elt, None)
-            prev_blocks = blocks
-            continue
-        boundary = np.zeros((total, out.dims[i - 1]), dtype=np.int64)
-        prev_off = {(p, q): off for p, q, off in prev_blocks}
-        for p, q, off in blocks:
-            dp, dq = cx.dims[p], cx.dims[q]
-            sl = slice(off, off + dp * dq)
-            if p >= 1:
-                doff = prev_off[(p - 1, q)]
-                kb = np.kron(cx.boundaries[p], np.eye(dq, dtype=np.int64))
-                boundary[sl, doff:doff + cx.dims[p - 1] * dq] = kb
-            if q >= 1:
-                sign = -1 if p % 2 else 1
-                doff = prev_off[(p, q - 1)]
-                kb = np.kron(np.eye(dp, dtype=np.int64), cx.boundaries[q])
-                boundary[sl, doff:doff + dp * cx.dims[q - 1]] = sign * kb
-        out.add_degree(coord_gen, coord_elt, boundary % cx.mod)
-        # float64 BLAS is exact: entries below 2^MAX_MOD_EXP, at most
-        # TENSOR_SQUARE_MAX_COORDS terms per sum, so every sum stays below 2^53
-        if i >= 2 and (out.boundaries[i].astype(np.float64)
-                       @ out.boundaries[i - 1] % cx.mod).any():
-            raise InternalInvariant("tensor square boundary fails d.d=0")
-        prev_blocks = blocks
-    return out
-
-
-def diagonal_approximation(cx: GModuleComplex, max_degree: int
-                           ) -> Tuple[GModuleComplex, List[np.ndarray]]:
-    """Chain map P -> P (x) P lifting the identity augmentation."""
-    tens = tensor_square_complex(cx, max_degree)
-    start = np.zeros((1, tens.dims[0]), dtype=np.int64)
-    start[0, 0] = 1  # e_0 -> e_0 (x) e_0
-    maps = lift_chain_map(cx, tens, start, max_degree)
-    return tens, maps
 
 
 def verify_exactness(cx: GModuleComplex, degree: int) -> bool:

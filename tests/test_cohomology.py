@@ -11,11 +11,15 @@ from cohlat import cohomology, resolution
 from cohlat.cohomology import (GroupCohomology, SubgroupLink,
                                bar_cohomology_invariants, default_modulus_exp)
 from cohlat.errors import (BudgetExceeded, DegreeOutOfRange,
-                           IncompatibleOperands, ModulusTooSmall, NotA2Group)
-from cohlat.groups import (Subgroup, builtin_group, direct_product,
-                           subgroup_classes)
+                           IncompatibleOperands, InternalInvariant,
+                           ModulusTooSmall, NotA2Group)
+from cohlat.groups import (BUILTIN_GROUPS, Subgroup, builtin_group,
+                           cyclic_group, direct_product, subgroup_classes)
 from cohlat.linalg import Subspace
 from cohlat.resolution import lift_chain_map
+
+from oracles import (cup_via_diagonal, integral_reduction_image_by_bocksteins,
+                     sq1_image_by_bocksteins)
 
 
 def _basis(n):
@@ -97,7 +101,7 @@ def test_cup_matches_diagonal_route(name, gc_cache):
         a = np.array([rng.randint(0, 1) for _ in range(gc.h_dim(p))])
         b = np.array([rng.randint(0, 1) for _ in range(gc.h_dim(q))])
         assert np.array_equal(gc.cup(p, a, q, b),
-                              gc.cup_via_diagonal(p, a, q, b))
+                              cup_via_diagonal(gc, p, a, q, b))
 
 
 @pytest.mark.parametrize("name", ["V4", "D4", "Q8", "C4xC2"])
@@ -222,6 +226,52 @@ def test_sq1_image_inside_integral_image(gc_cache):
         for deg in (1, 2):
             assert gc.integral_reduction_image(deg).contains(
                 gc.sq1_image(deg))
+
+
+def _same_subspace(got, want):
+    return got == want and got.basis.dtype == want.basis.dtype \
+        and got.basis.tobytes() == want.basis.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS) + ["C2xD8"])
+def test_images_match_the_per_basis_bockstein_route(name):
+    # the halved rows of delta(d, m + 1) against one Bockstein per basis
+    # class, on every built-in (order <= 16, and sz8-sylow) and C2 x D8
+    if name == "C2xD8":
+        group = direct_product(builtin_group("C2"), builtin_group("D8"))
+    else:
+        group = builtin_group(name)
+    gc = GroupCohomology(group, 5)
+    for d in range(5):
+        assert _same_subspace(gc.sq1_image(d), sq1_image_by_bocksteins(gc, d))
+        assert _same_subspace(gc.integral_reduction_image(d),
+                              integral_reduction_image_by_bocksteins(gc, d))
+    assert _same_subspace(gc.integral_reduction_image(0),
+                          Subspace.span([[1]], 1))
+
+
+def test_images_on_the_trivial_group():
+    # H^d = 0 for d >= 1, and H^0(G, Z) = Z maps onto H^0(G, F2) = F2
+    gc = GroupCohomology(cyclic_group(1), 3)
+    assert gc.k == 1 and gc.dims == [1, 0, 0, 0]
+    assert _same_subspace(gc.sq1_image(0), Subspace.zero(1))
+    assert _same_subspace(gc.integral_reduction_image(0),
+                          Subspace.span([[1]], 1))
+    for d in (1, 2):
+        assert _same_subspace(gc.sq1_image(d), Subspace.zero(0))
+        assert _same_subspace(gc.integral_reduction_image(d),
+                              Subspace.zero(0))
+
+
+def test_images_refuse_a_differential_that_is_odd():
+    # a nonzero mod-2 differential means the resolution is not minimal
+    gc = GroupCohomology(builtin_group("V4"), 3)
+    gc._deltas[(1, 2)] = gc.delta(1, 2) | 1
+    with pytest.raises(InternalInvariant, match="not minimal"):
+        gc.sq1_image(2)
+    gc._deltas[(1, 3)] = gc.delta(1, 3) | 1
+    with pytest.raises(InternalInvariant, match="not minimal"):
+        gc.integral_reduction_image(1)
 
 
 # -- restriction and transfer --
@@ -413,7 +463,7 @@ def test_every_reader_stops_at_max_degree(monkeypatch):
         lambda: gc.integral_reduction_image(3),
         lambda: gc.cohomology_invariants(4, 1),
         lambda: gc.cup(2, v, 2, v),
-        lambda: gc.cup_via_diagonal(2, v, 2, v),
+        lambda: cup_via_diagonal(gc, 2, v, 2, v),
         lambda: gc.cup_map(2, 2, v),
         lambda: gc.cup_map(4, 0, v),
         lambda: gc.cup_map(-1, 2, v),
@@ -653,7 +703,7 @@ def test_cup_map_matches_diagonal_route(name, gc_cache):
         b = rng.integers(0, 2, gc.h_dim(q))
         mat = gc.cup_map(p, q, b)
         assert mat.shape == (gc.h_dim(p + q), gc.h_dim(p))
-        assert np.array_equal(mat @ a % 2, gc.cup_via_diagonal(p, a, q, b))
+        assert np.array_equal(mat @ a % 2, cup_via_diagonal(gc, p, a, q, b))
 
 
 # -- readers check their operands --

@@ -27,12 +27,15 @@ from cohlat.lattices import (GLattice, LatticeSES, _diag_block,
                              gamma2, h1_integral, induced_sign_lattice,
                              integral_cocycles, lambda2,
                              lambda2_regular_decomposition, lattice_from_json,
-                             mod2_reduction, permutation_splitting, phi,
-                             pullback_lattice, two_slot_extension,
+                             mod2_reduction, phi, two_slot_extension,
                              wedge_coords)
-from cohlat.linalg import (GF2Matrix, int_spans_equal, invariant_factors,
-                           kernel_basis_modk, quotient_invariant_factors,
-                           row_hnf)
+from cohlat.linalg import (int_spans_equal, invariant_factors,
+                           quotient_invariant_factors, row_hnf)
+
+from oracles import (_alpha_by_bar_pairs, _alpha_by_mod2_cocycles,
+                     _bfs_reference, _schreier_reference,
+                     permutation_splitting, pullback_lattice,
+                     untrimmed_resolution)
 
 
 # -- construction and validation --
@@ -609,46 +612,6 @@ SMALL_BUILTINS = ["C2", "C4", "C8", "C16", "V4", "C4xC2", "C2xC2xC2",
                   "C4xC4", "D4", "Q8", "D8", "Q16"]
 
 
-def _bfs_reference(group, gens):
-    """Level-by-level BFS from the identity: element -> (parent, generator
-    index), and every edge (a, i, b, new) in the order the walk meets it."""
-    parent = {0: (-1, -1)}
-    edges = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for i, s in enumerate(gens):
-                b = int(group.table[a, s])
-                edges.append((a, i, b, b not in parent))
-                if b not in parent:
-                    parent[b] = (a, i)
-                    nxt.append(b)
-        frontier = nxt
-    return parent, edges
-
-
-def _schreier_reference(group, mats, modulus=None):
-    """The cocycle walk as a BFS of its own, blocks reduced by the mask and
-    products taken in int64."""
-    d, m = len(mats), mats[0].shape[0]
-    red = (lambda x: x) if modulus is None else (lambda x: x & (modulus - 1))
-    _, edges = _bfs_reference(group, group.generators())
-    emat = {0: np.eye(m, dtype=np.int64)}
-    coeff = {0: np.zeros((m, d * m), dtype=np.int64)}
-    closing = []
-    for a, i, b, new in edges:
-        expr = coeff[a].copy()
-        expr[:, i * m:(i + 1) * m] += emat[a]
-        expr = red(expr)
-        if new:
-            coeff[b] = expr
-            emat[b] = red(emat[a] @ mats[i])
-        else:
-            closing.append(red(coeff[b] - expr))
-    return coeff, np.hstack([c.T for c in closing])
-
-
 def _tree_cases(g):
     lats = [GLattice.regular(g), GLattice.sign_lattice(g)]
     if g.order <= 8:
@@ -800,97 +763,6 @@ def test_alpha_rank_one_is_empty():
     assert alpha_image(GLattice.trivial(builtin_group("C2"))) == []
 
 
-def _coboundary_rows_mod2(group, lat):
-    """Rows spanning the coboundaries of one-cochains valued in the lattice
-    mod 2; two-cochain coordinates are (g, h, i) flattened in that order."""
-    n = group.order
-    m = lat.rank
-    t = group.table
-    rows = np.zeros((n * m, n * n * m), dtype=np.uint8)
-    mats = {g: (lat.matrix(g) % 2).astype(np.uint8) for g in range(n)}
-    for h in range(n):
-        for i in range(m):
-            col = np.zeros((n, n, m), dtype=np.uint8)
-            for g in range(n):
-                col[g, h] ^= mats[g][:, i]        # g . w(h)
-            for g, k in zip(*np.nonzero(t == h)):
-                col[g, k, i] ^= 1                 # w(gh)
-            col[h, :, i] ^= 1                     # w(g)
-            rows[h * m + i] = col.reshape(-1)
-    return rows
-
-
-def _alpha_by_bar_pairs(lat):
-    """The connecting image by the former route: the spills D_g z_v(h) at
-    all n^2 pairs (g, h), modulo the bar coboundaries of L/2-valued
-    one-cochains."""
-    if lat.mod2_mask is not None:
-        raise IncompatibleOperands("connecting image needs a free lattice")
-    group = lat.group
-    n = group.order
-    if n > lattices.ALPHA_MAX_ORDER:
-        raise BudgetExceeded("group order over the connecting-map budget")
-    ml = lat.rank
-    m = ml * (ml - 1) // 2
-    gens = group.generators()
-    if m * len(gens) > lattices.ALPHA_MAX_WEDGE_COLUMNS:
-        raise BudgetExceeded("wedge fixed-point system over its budget")
-    two = n & -n
-    if m == 0 or two == 1:
-        return []    # odd order: degree-two classes mod 2 vanish
-    fixed = lattices._fixed_points_mod2k(
-        n, [_wedge_minors_of_map(lat.matrix(s)) for s in gens])[0].matrix
-    nb = fixed.shape[0]
-    # A_h acts on W by 2x2 minors: v as an antisymmetric X goes to A_h X A_h^T
-    i, j = _pair_arrays(ml)
-    x = np.zeros((nb, ml, ml), dtype=np.int64)
-    x[:, i, j] = fixed
-    x[:, j, i] = -fixed
-    # z_v mod 2 needs A_h v mod 2^(k+1): A_h enters reduced into [0, mod)
-    mod = 2 * two
-    assert ml * ml * (mod - 1) ** 2 * (two - 1) < 1 << 63
-    # float32 products of 0/1 entries are exact: sums stay below 2**24
-    dall = np.concatenate([_diag_block(lat.matrix(g)).T for g in range(n)],
-                          axis=1).astype(np.float32)
-    spills = np.zeros((nb, n, n, ml), dtype=np.uint8)    # (v, g, h, i)
-    for h in range(1, n):  # the identity fixes v: z = 0, its spills stay 0
-        a = lat.matrix(h) % mod
-        diff = ((a @ x) @ a.T)[:, i, j] - fixed
-        assert not (diff % two).any()
-        z = ((diff // two) & 1).astype(np.float32)
-        spills[:, :, h] = ((z @ dall) % 2).reshape(nb, n, ml)
-    cob = _coboundary_rows_mod2(group, lat)
-    rank0 = GF2Matrix.from_dense(cob).rank()
-    both = GF2Matrix.from_dense(
-        np.vstack([cob, spills.reshape(nb, n * n * ml)]))
-    return [2] * (both.rank() - rank0)
-
-
-def _alpha_by_mod2_cocycles(lat):
-    """The connecting image by the former route: integral cocycles of the
-    wedge square read mod 2 off the Schreier system mod 2^(v2|G|+1), and
-    their spills D_g z(h) at every pair of elements."""
-    g = lat.group
-    n = g.order
-    lam = lambda2(lat)
-    if lam.rank == 0:
-        return []
-    k = (n & -n).bit_length()
-    coeff, system = _schreier_reference(
-        g, [lam.matrix(s) for s in g.generators()], 1 << k)
-    # float32 products of 0/1 entries are exact: sums stay below 2**24
-    zrows = (kernel_basis_modk(system, k).matrix & 1).astype(np.float32)
-    vals = np.stack([zrows @ (coeff[h] & 1).T.astype(np.float32) % 2
-                     for h in range(n)])
-    diag = np.stack([_diag_block(lat.matrix(x)) for x in range(n)])
-    spills = (np.einsum("gim,hzm->zghi", diag.astype(np.float32), vals)
-              % 2).astype(np.uint8)
-    cob = _coboundary_rows_mod2(g, lat)
-    rank0 = GF2Matrix.from_dense(cob).rank()
-    both = np.vstack([cob, spills.reshape(len(zrows), n * n * lat.rank)])
-    return [2] * (GF2Matrix.from_dense(both).rank() - rank0)
-
-
 @pytest.mark.parametrize("name", ["C2", "C4", "V4", "C8", "C4xC2",
                                   "C2xC2xC2", "D4", "Q8"])
 def test_alpha_matches_the_mod2_cocycle_route(name):
@@ -938,7 +810,7 @@ def _bar_route_cases(family):
         return [(name, coflasque_resolution(m[name], pad_free=1)
                  .kernel_lattice) for name in ["C2", "C4", "V4"] + ORDER_8]
     if family == "untrimmed":
-        return [(name, coflasque_resolution(m[name], trim=False)
+        return [(name, untrimmed_resolution(m[name])
                  .kernel_lattice) for name in ["C2", "C4", "V4"]]
     if family == "order-8 M":
         return [(name, m[name]) for name in ORDER_8]
@@ -1135,8 +1007,8 @@ def test_coflasque_pad_free_gives_bigger_cover():
 def test_coflasque_untrimmed_agrees():
     c4 = builtin_group("C4")
     lat = builtin_lattice("M", c4)
-    a = coflasque_resolution(lat, trim=True)
-    b = coflasque_resolution(lat, trim=False)
+    a = coflasque_resolution(lat)
+    b = untrimmed_resolution(lat)
     assert b.cover.rank > a.cover.rank
     assert alpha_image(a.kernel_lattice) == alpha_image(b.kernel_lattice)
 
@@ -1152,7 +1024,7 @@ def test_top_down_cover_ranks(name, cover, kernel):
 def test_top_down_kernel_has_the_untrimmed_alpha(name):
     lat = builtin_lattice("M", builtin_group(name))
     top = coflasque_resolution(lat)
-    every = coflasque_resolution(lat, trim=False)
+    every = untrimmed_resolution(lat)
     assert every.cover.rank > top.cover.rank
     assert alpha_image(top.kernel_lattice) == alpha_image(every.kernel_lattice)
 
@@ -1268,20 +1140,24 @@ def _generator_matrices(lat):
 
 
 # digests of the bases and maps the integral constructions return: a change
-# of Hermite basis, of solve coordinates or of preimage shows up here
+# of Hermite basis, of solve coordinates or of preimage shows up here;
+# "untrimmed" is the every-class cover's maps / its kernel's generators
 LATTICE_PINS = {
     "C2": {"image": "d68126667c5caf13", "cover": "1ac76107313a8d89",
            "kernel": "9d37e282dff85f7c", "pad_free": "8ca42a1db8d53d63",
            "two_slot": "233a9025a708bf12", "exterior": "5cde56d954e1e23d",
-           "pullback": "5ae52d859c7940ad"},
+           "pullback": "5ae52d859c7940ad",
+           "untrimmed": "37509bd30353905f/8b5b236ff5bde115"},
     "C4": {"image": "19623b95b6fd94ac", "cover": "3ee466fd0c343c98",
            "kernel": "9d37e282dff85f7c", "pad_free": "97d5f07bf76fc4ca",
            "two_slot": "f3cd483edae8c00e", "exterior": "c6483e15b6899db6",
-           "pullback": "e967123b296db3ff"},
+           "pullback": "e967123b296db3ff",
+           "untrimmed": "69e709961a03868e/503b44ad898847ec"},
     "V4": {"image": "2835453b2841c576", "cover": "334aa6933ad88743",
            "kernel": "c7f738a43330bffd", "pad_free": "2c5b86acd86074f6",
            "two_slot": "f3cd483edae8c00e", "exterior": "c6483e15b6899db6",
-           "pullback": "e89005e083ccae13"},
+           "pullback": "e89005e083ccae13",
+           "untrimmed": "498c664db91963eb/2ea62401c87986c5"},
     "C8": {"image": "5459098cd0847fe2", "cover": "a5e705859e0a91cb",
            "kernel": "9d37e282dff85f7c", "pad_free": "bdf7b11306ce4440",
            "two_slot": "3721ce1b61a019fa", "exterior": "59fdcec4ef486d18"},
@@ -1323,6 +1199,10 @@ def test_lattice_constructions_keep_their_bytes(name):
     if g.order <= 4:
         got["pullback"] = _digest(
             *_generator_matrices(pullback_lattice(data, res)))
+        every = untrimmed_resolution(m)
+        got["untrimmed"] = (
+            _digest(every.ses.proj, every.ses.inj) + "/"
+            + _digest(*_generator_matrices(every.kernel_lattice)))
     assert got == LATTICE_PINS[name]
 
 

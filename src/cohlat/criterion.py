@@ -15,7 +15,7 @@ import numpy as np
 
 from .cohomology import GroupCohomology, SubgroupLink, default_modulus_exp
 from .errors import InternalInvariant, ValidationError
-from .groups import FiniteGroup, Subgroup, subgroup_classes
+from .groups import FiniteGroup, Subgroup, isomorphism, subgroup_classes
 from .linalg import Subspace
 
 WHICH_CHOICES = ("a", "b", "both")
@@ -115,35 +115,67 @@ class CriterionReport:
         }
 
 
-def transfer_cup_image(gc: GroupCohomology, sub: Subgroup
-                       ) -> Tuple[Subspace, SubgroupTerm]:
-    """Span of transfers of x . u over one subgroup, x degree 1, u an
-    integrally-liftable degree-2 class of the subgroup.
+def _cup_products(hco: GroupCohomology) -> Tuple[int, int, List[np.ndarray]]:
+    """dim H^1, the dimension of the integrally-liftable part of H^2, and
+    the degree-3 products x . u, x degree 1 and u in a basis of that part.
 
     The products x . u for all x are the columns of one cup map per u.
     """
-    link = SubgroupLink(gc, sub, max_degree=3)
-    hco = link.hco
-    h1 = hco.h_dim(1)
     lift2 = hco.integral_reduction_image(2)
-    rows = [link.transfer(3, w)
-            for u in lift2.basis for w in hco.cup_map(1, 2, u).T]
+    rows = [w for u in lift2.basis for w in hco.cup_map(1, 2, u).T]
+    return hco.h_dim(1), lift2.dim, rows
+
+
+def transfer_cup_image(gc: GroupCohomology, sub: Subgroup,
+                       products: Optional[Tuple[int, int, List[np.ndarray]]]
+                       = None) -> Tuple[Subspace, SubgroupTerm]:
+    """Span of transfers of x . u over one subgroup, x degree 1, u an
+    integrally-liftable degree-2 class of the subgroup.
+
+    products, when given, are _cup_products of a group with the table of
+    sub.as_group(); they are computed from sub's own link otherwise.
+    """
+    link = SubgroupLink(gc, sub, max_degree=3)
+    h1, lift_dim, rows = products or _cup_products(link.hco)
+    rows = [link.transfer(3, w) for w in rows]
     dim3 = gc.h_dim(3)
     span = Subspace.span(np.array(rows), dim3) if rows \
         else Subspace.zero(dim3)
     term = SubgroupTerm(sub.order, sub.index,
                         tuple(int(x) for x in sub.elements),
-                        h1, lift2.dim, span.dim)
+                        h1, lift_dim, span.dim)
     return span, term
 
 
 def transfer_cup_span(gc: GroupCohomology
                       ) -> Tuple[Subspace, List[SubgroupTerm]]:
-    """Union of per-class transfer spans over all subgroup classes."""
+    """Union of per-class transfer spans over all subgroup classes.
+
+    Classes are taken one isomorphism type at a time. A class isomorphic
+    to the group T of an earlier class is presented in T's labelling, so
+    its link finds T's resolution in the cache and T's degree-3 products
+    serve it unchanged; only its own chain lift and transfer are computed.
+    Each span is a subspace of H^3(G) and each term's dimensions are
+    invariants of the class, so no answer depends on the labelling used.
+    """
     total = Subspace.zero(gc.h_dim(3))
     terms = []
+    types: Dict[int, List[Tuple[FiniteGroup, Tuple]]] = {}
     for sub in subgroup_classes(gc.group):
-        span, term = transfer_cup_image(gc, sub)
+        hgrp = sub.as_group()[0]
+        for tgrp, products in types.get(sub.order, ()):
+            phi = isomorphism(hgrp, tgrp)
+            if phi is not None:
+                sub = sub.relabelled(phi)
+                if sub.as_group()[0] != tgrp:
+                    raise InternalInvariant("relabelled class is not its "
+                                            "type's group")
+                break
+        else:
+            products = _cup_products(
+                GroupCohomology(hgrp, 3, modulus_exp=gc.k))
+            types.setdefault(sub.order, []).append((hgrp, products))
+        span, term = transfer_cup_image(gc, sub, products)
         total = total.union(span)
         terms.append(term)
     return total, terms

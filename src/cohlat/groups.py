@@ -18,6 +18,7 @@ from .linalg import invariant_factors, row_hnf
 
 MAX_ORDER = 1024
 MAX_SUBGROUP_CLASSES = 10000
+ISOMORPHISM_MAX_STEPS = 1000000  # Cayley edges walked per isomorphism search
 
 
 class FiniteGroup:
@@ -241,11 +242,79 @@ def closure(group: FiniteGroup, seed: Iterable[int]) -> set:
     return set(_generated(group, [int(s) for s in seed]).tolist())
 
 
-class Subgroup:
-    """A subgroup of a parent group, stored by its sorted element list."""
+def isomorphism(a: FiniteGroup, b: FiniteGroup) -> Optional[np.ndarray]:
+    """An isomorphism phi from a onto b, phi[a.table] == b.table[phi][:, phi],
+    or None when there is none or the search ran out of steps.
 
-    __slots__ = ("parent", "elements", "order", "_cosets", "_rcosets",
-                 "_as_group")
+    Groups that differ in order, element orders or generator count are
+    rejected at once. Otherwise the search backtracks over images of
+    a.generators(), each of the generator's element order. With images
+    chosen for the first j generators, the map is spread over the Cayley
+    graph of those j generators from the identity: a tree edge x -> x*g
+    sets phi(x*g) = phi(x)*phi(g), every other edge must agree with it,
+    and no two elements may share an image. A choice that fails is dropped
+    before the next generator is tried. When all generators have images,
+    phi holds on every edge of a generating set, so it is a homomorphism,
+    and it is injective between groups of one order. Each image tried
+    costs the edge count of its Cayley graph; once the total passes
+    ISOMORPHISM_MAX_STEPS the answer is None.
+    """
+    if (a.order != b.order
+            or not np.array_equal(np.sort(a.element_orders),
+                                  np.sort(b.element_orders))
+            or len(a.generators()) != len(b.generators())):
+        return None
+    gens = a.generators()
+    graphs = [cayley_tree(a, gens[:j + 1]).edges for j in range(len(gens))]
+    cands = [np.flatnonzero(b.element_orders == a.element_orders[g]).tolist()
+             for g in gens]
+    bt = b.table.tolist()
+    imgs = [0] * len(gens)
+    steps = 0
+
+    def spread(edges) -> Optional[Dict[int, int]]:
+        """phi over a Cayley graph from imgs, or None if it fails."""
+        phi, hit = {0: 0}, {0}
+        for x, i, y, is_tree in edges:
+            z = bt[phi[x]][imgs[i]]
+            if not is_tree:
+                if phi[y] != z:
+                    return None
+            elif z in hit:
+                return None
+            else:
+                phi[y] = z
+                hit.add(z)
+        return phi
+
+    def search(j: int) -> Optional[Dict[int, int]]:
+        nonlocal steps
+        for z in cands[j]:
+            steps += len(graphs[j])
+            if steps > ISOMORPHISM_MAX_STEPS:
+                return None
+            imgs[j] = z
+            phi = spread(graphs[j])
+            if phi is not None and j + 1 < len(gens):
+                phi = search(j + 1)
+            if phi is not None:
+                return phi
+        return None
+
+    phi = search(0) if gens else {0: 0}
+    return None if phi is None else np.array(
+        [phi[x] for x in range(a.order)], dtype=np.int64)
+
+
+class Subgroup:
+    """A subgroup of a parent group, stored by its sorted element list.
+
+    Its local elements 0..order-1, which as_group() and the coset tables
+    index, are the sorted elements unless relabelled() reorders them.
+    """
+
+    __slots__ = ("parent", "elements", "order", "_local", "_cosets",
+                 "_rcosets", "_as_group")
 
     def __init__(self, parent: FiniteGroup, elements: Sequence[int], check: bool = True):
         el = np.array(sorted(int(x) for x in set(elements)), dtype=np.int64)
@@ -259,6 +328,7 @@ class Subgroup:
         self.parent = parent
         self.elements = el
         self.order = int(el.size)
+        self._local = el
         self._cosets = None
         self._rcosets = None
         self._as_group = None
@@ -271,24 +341,36 @@ class Subgroup:
         i = int(np.searchsorted(self.elements, g))
         return i < self.order and int(self.elements[i]) == g
 
+    def relabelled(self, phi: np.ndarray) -> "Subgroup":
+        """The same subgroup with local element phi[x] in place of x.
+
+        For an isomorphism phi from as_group()'s group onto a group T, the
+        result's as_group() has T's table. Its elements stay sorted, so
+        contains() and key() are unchanged.
+        """
+        out = Subgroup(self.parent, self.elements, check=False)
+        out._local = np.empty_like(self._local)
+        out._local[phi] = self._local
+        return out
+
     def coset_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Left cosets as (coset, pos): g = r * elements[pos[g]] with r the
-        representative of coset number coset[g]. Cosets are numbered by their
-        least element, which is the representative."""
+        """Left cosets as (coset, pos): g = r * x with x local element
+        pos[g] and r the representative of coset number coset[g]. Cosets are
+        numbered by their least element, which is the representative."""
         if self._cosets is None:
-            self._cosets = self._cosets_of(self.parent.table[:, self.elements])
+            self._cosets = self._cosets_of(self.parent.table[:, self._local])
         return self._cosets
 
     def right_coset_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Right cosets as (coset, pos): g = elements[pos[g]] * r, numbered
-        and represented as in coset_table."""
+        """Right cosets as (coset, pos): g = x * r with x local element
+        pos[g], numbered and represented as in coset_table."""
         if self._rcosets is None:
-            self._rcosets = self._cosets_of(self.parent.table[self.elements].T)
+            self._rcosets = self._cosets_of(self.parent.table[self._local].T)
         return self._rcosets
 
     def _cosets_of(self, members: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(coset, pos) from members[g], the coset of g listed in the order
-        of the elements, taking cosets in order of their least element."""
+        """(coset, pos) from members[g], the coset of g listed in local
+        order, taking cosets in order of their least element."""
         n = self.parent.order
         coset = np.full(n, -1, dtype=np.int64)
         pos = np.zeros(n, dtype=np.int64)
@@ -314,7 +396,7 @@ class Subgroup:
     def as_group(self) -> Tuple[FiniteGroup, np.ndarray]:
         """The subgroup as a standalone group plus local->global element map."""
         if self._as_group is None:
-            to_global = self.elements
+            to_global = self._local
             pos = np.full(self.parent.order, -1, dtype=np.int64)
             pos[to_global] = np.arange(self.order)
             local = pos[self.parent.table[np.ix_(to_global, to_global)]]

@@ -9,6 +9,7 @@ torsion coordinates and arithmetic on masked rows is read mod 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -771,8 +772,11 @@ def alpha_image(lat: GLattice) -> List[int]:
         if (diff % two).any():
             raise InternalInvariant("a row fixed mod 2^k moved mod 2^k")
         zs[s] = (diff // two % 2).astype(np.float32)
-    spills = _relator_values(group, lambda g, s: f2_product(
-        zs[s], _diag_block(lat.matrix(g)).T.astype(np.float32)))
+
+    @lru_cache(maxsize=1)  # the walk reads all edges out of g in a row
+    def diag(g: int) -> np.ndarray:
+        return _diag_block(lat.matrix(g)).T.astype(np.float32)
+    spills = _relator_values(group, lambda g, s: f2_product(zs[s], diag(g)))
     cob = _schreier_walk(group, [lat.matrix(s) for s in gens])[1]
     rank0 = GF2Matrix.from_dense(cob).rank()
     return [2] * (GF2Matrix.from_dense(np.vstack([cob, spills])).rank() - rank0)

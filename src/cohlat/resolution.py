@@ -173,7 +173,7 @@ def _minimal_generators(cx: GModuleComplex, degree: int,
 
 
 # resolutions kept, least recently used evicted first; one sz8-sylow
-# criterion run uses 43
+# criterion run holds 9, one per isomorphism type of subgroup
 RES_CACHE_SIZE = 64
 _RES_CACHE: "OrderedDict[Tuple[FiniteGroup, int], GModuleComplex]" = OrderedDict()
 _RES_LOCK = threading.Lock()

@@ -3,8 +3,9 @@
 These routes are slow or exponentially large, so no production path runs
 them: the diagonal route of the cup product, the permutation splitting of
 the exterior sequence, the pullback lattice, the every-class coflasque
-cover, the per-basis Bockstein routes of the Sq1 and integral images, and
-the bar-pair and mod-2-cocycle routes of the connecting image.
+cover, the per-basis Bockstein routes of the Sq1 and integral images,
+the bar-pair and mod-2-cocycle routes of the connecting image, and the
+class-by-class transfer span, with one resolution per subgroup class.
 
 Not collected as a test module. pytest's default import mode puts tests/
 on sys.path, so test modules import it as `oracles`.
@@ -16,6 +17,7 @@ import numpy as np
 
 from cohlat import lattices
 from cohlat.cohomology import GroupCohomology, default_modulus_exp
+from cohlat.criterion import SubgroupTerm, transfer_cup_image
 from cohlat.errors import (BudgetExceeded, CoflasquenessCheckFailed,
                            IncompatibleOperands, InternalInvariant)
 from cohlat.groups import subgroup_classes
@@ -29,6 +31,22 @@ from cohlat.linalg import (GF2Matrix, IntSolver, Subspace, int_left_kernel,
 from cohlat.resolution import GModuleComplex, lift_chain_map
 
 TENSOR_SQUARE_MAX_COORDS = 20000    # per degree, for the diagonal route
+
+
+# -- the transfer span, one class at a time --
+
+
+def transfer_cup_span_by_class(gc: GroupCohomology
+                               ) -> Tuple[Subspace, List[SubgroupTerm]]:
+    """Union of per-class transfer spans, each class on its own link and
+    its own resolution, in its own sorted labelling."""
+    total = Subspace.zero(gc.h_dim(3))
+    terms = []
+    for sub in subgroup_classes(gc.group):
+        span, term = transfer_cup_image(gc, sub)
+        total = total.union(span)
+        terms.append(term)
+    return total, terms
 
 
 # -- the diagonal route of the cup product --

@@ -7,16 +7,18 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from cohlat import cohomology, resolution
+from cohlat import cli, cohomology, groups, resolution
 from cohlat.cohomology import (GroupCohomology, SubgroupLink,
                                default_modulus_exp)
 from cohlat.criterion import (MIN_MAX_DEGREE, CriterionConfig,
                               evaluate_criterion, transfer_cup_image,
-                              triple_cup_span)
+                              transfer_cup_span, triple_cup_span)
 from cohlat.errors import ModulusTooSmall, ValidationError
-from cohlat.groups import (BUILTIN_GROUPS, Subgroup, builtin_group, closure,
-                           subgroup_classes)
+from cohlat.groups import (BUILTIN_GROUPS, FiniteGroup, Subgroup,
+                           builtin_group, closure, cyclic_group,
+                           direct_product, subgroup_classes)
 from cohlat.linalg import GF2Matrix, Subspace
+from oracles import transfer_cup_span_by_class
 
 
 def _characters(group):
@@ -313,6 +315,71 @@ def test_criterion_lifts_no_restriction_map(monkeypatch):
     rep = evaluate_criterion(g, CriterionConfig(which="b"))
     assert len(lifts) == len(rep.subgroups) == len(subgroup_classes(g))
     assert all(src.amb_group is not src.group for src in lifts)
+
+
+def _relabelled(group, seed):
+    """The group with its non-identity elements renamed by a seeded
+    permutation, as the benchmark's group files are."""
+    perm = np.zeros(group.order, dtype=np.int64)
+    perm[1:] = 1 + np.random.default_rng(seed).permutation(group.order - 1)
+    table = np.empty_like(group.table)
+    table[np.ix_(perm, perm)] = perm[group.table]
+    return FiniteGroup(table, name=f"{group.name}-r{seed}")
+
+
+C2XD8 = direct_product(cyclic_group(2), builtin_group("D8"), "C2xD8")
+
+
+@pytest.mark.parametrize(
+    "group", [builtin_group(n) for n in BUILTIN_GROUPS]
+    + [C2XD8, _relabelled(C2XD8, 1),
+       _relabelled(builtin_group("sz8-sylow"), 1)], ids=lambda g: g.name)
+def test_span_matches_the_class_by_class_oracle(group):
+    # one resolution per isomorphism type gives the span and the terms of
+    # one resolution per class, byte for byte
+    gc = GroupCohomology(group, 3)
+    span, terms = transfer_cup_span(gc)
+    want_span, want_terms = transfer_cup_span_by_class(gc)
+    assert span.basis_rows() == want_span.basis_rows()
+    assert [t.to_dict() for t in terms] == [t.to_dict() for t in want_terms]
+
+
+def test_report_bytes_hold_when_no_isomorphism_is_found(monkeypatch):
+    # with no search budget each class builds its own resolution, as the
+    # class-by-class loop did, and the report is the pinned one
+    monkeypatch.setattr(resolution, "_RES_CACHE", OrderedDict())
+    monkeypatch.setattr(groups, "ISOMORPHISM_MAX_STEPS", 0)
+    g = builtin_group("sz8-sylow")
+    rep = evaluate_criterion(g, CriterionConfig(which="b"))
+    raw = json.dumps(rep.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(raw).hexdigest() == REPORT_SHA256[("sz8-sylow", "b")]
+    tables = {h.as_group()[0].table.tobytes() for h in subgroup_classes(g)}
+    assert len(resolution._RES_CACHE) == len(tables) > 9
+
+
+def test_relabelled_sz8_run_holds_one_resolution_per_type(monkeypatch,
+                                                          tmp_path):
+    # the 59 classes of sz8-sylow fall into 9 isomorphism types, the whole
+    # group among them, so the CLI run holds 9 complexes and factors the
+    # boundaries of degrees 1-3 of each
+    monkeypatch.setattr(resolution, "_RES_CACHE", OrderedDict())
+    inits = []
+
+    class CountingSolver(resolution.ModKSolver):
+        def __init__(self, *args):
+            inits.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(resolution, "ModKSolver", CountingSolver)
+    g = _relabelled(builtin_group("sz8-sylow"), 1)
+    path = tmp_path / "sz8.json"
+    path.write_text(json.dumps({"order": g.order,
+                                "table": g.table.tolist()}))
+    assert cli.main(["criterion", "--group", str(path), "--which", "b",
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert len(resolution._RES_CACHE) == 9
+    assert len(inits) == 27
+    tables = {h.as_group()[0].table.tobytes() for h in subgroup_classes(g)}
+    assert len(tables) > 40
 
 
 @pytest.mark.parametrize("name", ["V4", "D4", "C2xC2xC2", "C4xC4"])

@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
+from cohlat import groups
 from cohlat.errors import IdentityNotZero, NotAGroup, ValidationError
 from cohlat.groups import (BUILTIN_GROUPS, FiniteGroup, Subgroup,
                            _conjugacy_key, abelianization, builtin_group,
                            closure, commutator_subgroup, cyclic_group,
                            dihedral_group, direct_product, group_from_json,
-                           load_group, quaternion_group, quotient_group,
-                           subgroup_classes, sylow2_sz8)
+                           isomorphism, load_group, quaternion_group,
+                           quotient_group, subgroup_classes, sylow2_sz8)
 
 
 # --- independent oracle helpers (no library code) ---
@@ -424,6 +425,28 @@ def test_coset_table_matches_the_coset_loop(name):
                 assert mul(reps[coset[x]], int(h.elements[pos[x]])) == x
 
 
+def test_relabelled_subgroup_reads_the_new_local_order():
+    # a view through phi keeps the sorted elements and reads local element
+    # phi[x] where the class read x: its table is the target's, and both
+    # coset tables index the new local order
+    g = builtin_group("sz8-sylow")
+    for h in subgroup_classes(g):
+        local, to_global = h.as_group()
+        target = _relabelled(local, h.order)
+        phi = isomorphism(local, target)
+        view = h.relabelled(phi)
+        vlocal, vglobal = view.as_group()
+        assert np.array_equal(vlocal.table, target.table)
+        assert np.array_equal(vglobal[phi], to_global)
+        assert view.key() == h.key() and view.index == h.index
+        for (coset, pos), (hcoset, hpos), side in [
+                (view.coset_table(), h.coset_table(), "left"),
+                (view.right_coset_table(), h.right_coset_table(), "right")]:
+            assert np.array_equal(coset, hcoset), side
+            assert np.array_equal(pos, phi[hpos]), side
+        assert np.array_equal(view.coset_reps(), h.coset_reps())
+
+
 def test_as_group_is_valid_group():
     g = quaternion_group(16)
     h = Subgroup(g, sorted(closure(g, [g.generators()[0]])))
@@ -444,6 +467,79 @@ def test_conjugated_subgroup():
         assert c.order == 2
         assert _oracle_class_key(g.table.tolist(), set(map(int, c.elements))) \
             == _oracle_class_key(g.table.tolist(), set(map(int, h.elements)))
+
+
+# --- isomorphisms ---
+
+def _is_isomorphism(a, b, phi):
+    return (phi is not None and sorted(phi.tolist()) == list(range(a.order))
+            and np.array_equal(phi[a.table], b.table[np.ix_(phi, phi)]))
+
+
+def _c4_semidirect_c4():
+    """<a, b | a^4, b^4, b a b^-1 = a^-1>, a^i b^j at index i + 4j."""
+    x = np.arange(16)
+    i1, j1 = (x % 4)[:, None], (x // 4)[:, None]
+    i2, j2 = x % 4, x // 4
+    return FiniteGroup((i1 + (-1) ** j1 * i2) % 4 + 4 * ((j1 + j2) % 4),
+                       name="C4:C4")
+
+
+def test_isomorphism_maps_are_bijective_homomorphisms():
+    # all pairs of class groups of the built-ins up to order 16 and of
+    # C2 x D8; acceptance is symmetric and transitive, as isomorphism is
+    locals_ = [h.as_group()[0]
+               for g in [builtin_group(n) for n in BUILTIN_GROUPS
+                         if builtin_group(n).order <= 16]
+               + [direct_product(cyclic_group(2), builtin_group("D8"))]
+               for h in subgroup_classes(g)]
+    assert len(locals_) == 130
+    found = set()
+    for x, a in enumerate(locals_):
+        for y, b in enumerate(locals_):
+            phi = isomorphism(a, b)
+            if phi is not None:
+                assert _is_isomorphism(a, b, phi), (x, y)
+                found.add((x, y))
+    assert all((y, x) in found for x, y in found)
+    for x, y in found:
+        assert {z for w, z in found if w == y} == \
+            {z for w, z in found if w == x}
+    # 16 types, whose element-order histograms all differ, so every pair
+    # of one histogram was found isomorphic
+    types = {min(z for w, z in found if w == x) for x in range(len(locals_))}
+    assert sorted(locals_[x].order for x in types) == \
+        [1, 2, 4, 4, 8, 8, 8, 8, 8, 16, 16, 16, 16, 16, 16, 32]
+    assert len({np.bincount(locals_[x].element_orders).tobytes()
+                for x in types}) == 16
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUPS)
+def test_isomorphism_finds_each_relabelled_builtin(name):
+    g = builtin_group(name)
+    for seed in range(4):
+        r = _relabelled(g, seed)
+        assert _is_isomorphism(g, r, isomorphism(g, r)), seed
+        assert _is_isomorphism(r, g, isomorphism(r, g)), seed
+
+
+def test_isomorphism_tells_c4xc4_from_c4_semidirect_c4():
+    # same order, element-order histogram and generator count
+    a, b = builtin_group("C4xC4"), _c4_semidirect_c4()
+    assert np.bincount(a.element_orders).tolist() == \
+        np.bincount(b.element_orders).tolist() == [0, 1, 3, 0, 12]
+    assert len(a.generators()) == len(b.generators()) == 2
+    assert isomorphism(a, b) is None and isomorphism(b, a) is None
+    r = _relabelled(b, 2)
+    assert _is_isomorphism(b, r, isomorphism(b, r))
+
+
+def test_isomorphism_gives_up_at_its_budget(monkeypatch):
+    g = builtin_group("D4")
+    r = _relabelled(g, 3)
+    assert isomorphism(g, r) is not None
+    monkeypatch.setattr(groups, "ISOMORPHISM_MAX_STEPS", 0)
+    assert isomorphism(g, r) is None
 
 
 # --- quotients and abelianization ---

@@ -860,6 +860,22 @@ def test_alpha_matches_the_bar_pairs_route(family):
             "D6 marginal-quotient"]
 
 
+def test_alpha_builds_one_diagonal_block_per_element(monkeypatch):
+    # the spill D_g of an element's matrix serves every generator edge out
+    # of g: n blocks for D8's coflasque kernel, not one per edge (n * d)
+    lat = coflasque_resolution(
+        builtin_lattice("M", builtin_group("D8"))).kernel_lattice
+    shapes = []
+
+    def counting(a):
+        shapes.append(a.shape)
+        return _diag_block(a)
+    monkeypatch.setattr(lattices, "_diag_block", counting)
+    assert alpha_image(lat) == []
+    assert len(shapes) == lat.group.order == 16
+    assert len(lat.group.generators()) == 2
+
+
 def _inflated_from_v4(other):
     """M(V4) as a lattice over other x V4, through the projection to V4."""
     v4 = builtin_group("V4")

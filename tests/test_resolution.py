@@ -267,7 +267,7 @@ def test_corrupted_generator_row_fails_the_boundary_check(monkeypatch):
 
 
 def test_resolution_cache_evicts_least_recently_used(monkeypatch):
-    assert resolution.RES_CACHE_SIZE >= 64  # one sz8-sylow criterion run holds 43
+    assert resolution.RES_CACHE_SIZE >= 64  # one sz8-sylow criterion run holds 9
     monkeypatch.setattr(resolution, "_RES_CACHE", OrderedDict())
     monkeypatch.setattr(resolution, "RES_CACHE_SIZE", 2)
     c2, c4, v4 = (builtin_group(n) for n in ("C2", "C4", "V4"))

@@ -18,7 +18,7 @@ from .errors import (BudgetExceeded, CoflasquenessCheckFailed,
                      IncompatibleOperands, InternalInvariant,
                      NotRankOneKernel, ValidationError)
 from .groups import FiniteGroup, Subgroup, cayley_tree, subgroup_classes
-from .linalg import (GF2Matrix, IntSolver, _abs_max, f2_product,
+from .linalg import (GF2Matrix, IntSolver, Subspace, _abs_max, f2_product,
                      int_left_kernel, int_spans_equal, invariant_factors,
                      kernel_basis_modk, modk_quotient_invariant_factors,
                      quotient_invariant_factors, row_hnf)
@@ -39,12 +39,11 @@ def _check_dense_rank(rank: int) -> None:
             f"dense lattice rank {rank} exceeds {MAX_DENSE_RANK}")
 
 
-def _exact_product(a: np.ndarray, a_max: int, b: np.ndarray,
-                   b_max: int) -> np.ndarray:
-    """a @ b over Z for action matrices, a_max and b_max bounding |entries|:
-    in int64 while a_max * b_max * (inner size) < 2^63, so no sum can wrap,
+def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over Z for integer matrices, bounds read off the operands: in
+    int64 while max|a| * max|b| * (inner size) < 2^63, so no sum can wrap,
     else in Python ints; a product that leaves int64 raises ValidationError."""
-    if a_max * b_max * a.shape[1] < 1 << 63:
+    if _abs_max(a) * _abs_max(b) * a.shape[1] < 1 << 63:
         return a @ b
     out = a.astype(object) @ b.astype(object)
     if _abs_max(out) >= 1 << 63:
@@ -52,11 +51,13 @@ def _exact_product(a: np.ndarray, a_max: int, b: np.ndarray,
     return out.astype(np.int64)
 
 
-def _reads_zero(d: np.ndarray, mask: Optional[np.ndarray]) -> bool:
-    """Whether d is zero, its rows under mask read mod 2 (d is scratch)."""
-    if mask is not None:
-        d[mask] %= 2
-    return not d.any()
+def _agree(x: np.ndarray, y: np.ndarray, mask: Optional[np.ndarray]) -> bool:
+    """Whether x = y over Z, the rows under mask read mod 2. Nothing is
+    subtracted, so nothing can wrap."""
+    if mask is None:
+        return np.array_equal(x, y)
+    return (np.array_equal(x[~mask], y[~mask])
+            and np.array_equal(x[mask] & 1, y[mask] & 1))
 
 
 class GLattice:
@@ -83,11 +84,9 @@ class GLattice:
         else:
             self._gen_mats = [np.asarray(m, dtype=np.int64)
                               for m in gen_actions]
-            self._gen_max = [_abs_max(m) for m in self._gen_mats]
             self.rank = (self._gen_mats[0].shape[0] if self._gen_mats
                          else (rank if rank is not None else 0))
         self._cache = {}
-        self._amax = {0: 1}     # max |entry| of each cached dense matrix
         if rank is not None and rank != self.rank:
             raise ValidationError("stated rank disagrees with the matrices")
         self.permutation = permutation
@@ -125,19 +124,11 @@ class GLattice:
             else:
                 self._cache[b] = (self._gen_mats[i].copy() if a == 0
                                   else self._times_gen(a, i))
-                self._amax[b] = _abs_max(self._cache[b])
         return self._cache[g]
 
     def _times_gen(self, g: int, i: int) -> np.ndarray:
         """A(g) A(s_i) for a dense lattice, exact (_exact_product)."""
-        return _exact_product(self._action(g), self._amax[g],
-                              self._gen_mats[i], self._gen_max[i])
-
-    def perm_sign(self, g: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(p, s) with A(g) e_j = s[j] e_p[j]."""
-        if not self.monomial:
-            raise IncompatibleOperands("dense lattice has no monomial form")
-        return self._action(g)
+        return _exact_product(self._action(g), self._gen_mats[i])
 
     def matrix(self, g: int) -> np.ndarray:
         if self.monomial:
@@ -151,7 +142,7 @@ class GLattice:
         """A(g) applied to a vector, or to each row of a matrix."""
         rows = np.asarray(rows, dtype=np.int64)
         if self.monomial:
-            p, s = self.perm_sign(g)
+            p, s = self._action(g)
             out = np.zeros_like(rows)
             out[..., p] = s * rows
             return out
@@ -164,7 +155,7 @@ class GLattice:
         if self.permutation:
             for g in gens:
                 if self.monomial:
-                    _, s = self.perm_sign(g)
+                    _, s = self._action(g)
                     if not (s == 1).all():
                         raise ValidationError("permutation flag with signs")
                 else:
@@ -186,14 +177,14 @@ class GLattice:
             if is_tree:
                 continue
             if self.monomial:
-                pg, sg = self.perm_sign(g)
+                pg, sg = self._action(g)
                 ps, ss = self._gen_ps[i]
-                pe, se = self.perm_sign(gs)
+                pe, se = self._action(gs)
                 ok = (np.array_equal(pe, pg[ps])
                       and np.array_equal(se, sg[ps] * ss))
             else:
-                ok = _reads_zero(self.matrix(gs) - self._times_gen(g, i),
-                                 self.mod2_mask)
+                ok = _agree(self.matrix(gs), self._times_gen(g, i),
+                            self.mod2_mask)
             if not ok:
                 raise ValidationError(
                     "generator actions violate the group relations")
@@ -377,12 +368,14 @@ def mod2_reduction(lat: GLattice) -> GLattice:
 
 
 def _equivariant(f: np.ndarray, src: GLattice, dst: GLattice) -> bool:
-    """Whether A_dst(g) f = f A_src(g) on the generators, reading mod 2 the
-    rows masked in dst, or every row if dst is free and src fully masked."""
+    """Whether A_dst(g) f = f A_src(g) over Z on the generators, reading mod 2
+    the rows masked in dst, or every row if dst is free and src fully
+    masked."""
     mask = dst.mod2_mask
     if mask is None and src.mod2_mask is not None and src.mod2_mask.all():
         mask = np.ones(dst.rank, dtype=bool)
-    return all(_reads_zero(dst.matrix(g) @ f - f @ src.matrix(g), mask)
+    return all(_agree(_exact_product(dst.matrix(g), f),
+                      _exact_product(f, src.matrix(g)), mask)
                for g in src.group.generators())
 
 
@@ -407,7 +400,8 @@ class LatticeSES:
             raise IncompatibleOperands("partially masked kernel unsupported")
         mask = (np.ones(self.quo.rank, dtype=bool) if sub_masked
                 else self.quo.mod2_mask)
-        if not _reads_zero(self.proj @ self.inj, mask):
+        composite = _exact_product(self.proj, self.inj)
+        if not _agree(composite, np.zeros_like(composite), mask):
             raise ValidationError("composite is nonzero")
         if sub_masked:
             if GF2Matrix.from_dense(self.inj.T % 2).rank() != self.sub.rank:
@@ -644,7 +638,7 @@ def _fixed_points_mod2k(order: int, mats: List[np.ndarray]):
     return kernel_basis_modk(system, k), system
 
 
-def _schreier_walk(group: FiniteGroup, mats: List[np.ndarray]):
+def _schreier_walk(lat: GLattice):
     """Cocycle values and closing conditions along the group's spanning tree.
 
     A cocycle z (rule z(gh) = z(g) + g z(h)) is fixed by its values on the
@@ -654,19 +648,14 @@ def _schreier_walk(group: FiniteGroup, mats: List[np.ndarray]):
     outside the BFS tree (a Schreier generator of the relation group). Two
     readers: integral_cocycles, and alpha_image, which reads system mod 2.
     """
-    gens = group.generators()
-    d = len(gens)
-    m = mats[0].shape[0]
-    mats = [np.asarray(mt, dtype=np.int64) for mt in mats]
-    emat = {0: np.eye(m, dtype=np.int64)}
+    d, m = len(lat.group.generators()), lat.rank
     coeff = {0: np.zeros((m, d * m), dtype=np.int64)}
     closing = []
-    for a, i, b, is_tree in group.spanning_tree().edges:
+    for a, i, b, is_tree in lat.group.spanning_tree().edges:
         expr = coeff[a].copy()
-        expr[:, i * m:(i + 1) * m] += emat[a]
+        expr[:, i * m:(i + 1) * m] += lat.matrix(a)
         if is_tree:
             coeff[b] = expr
-            emat[b] = emat[a] @ mats[i]
         else:
             closing.append(coeff[b] - expr)
     # |G| * d edges against |G| - 1 tree edges: closing is never empty
@@ -687,7 +676,7 @@ def integral_cocycles(group: FiniteGroup, mats: List[np.ndarray]):
         def expand_empty(row):
             return np.zeros((group.order, m), dtype=np.int64)
         return np.zeros((0, d * m), dtype=np.int64), expand_empty
-    coeff, system = _schreier_walk(group, mats)
+    coeff, system = _schreier_walk(GLattice(group, mats, validate=False))
     rows = int_left_kernel(system)
 
     def expand(row):
@@ -777,9 +766,8 @@ def alpha_image(lat: GLattice) -> List[int]:
     def diag(g: int) -> np.ndarray:
         return _diag_block(lat.matrix(g)).T.astype(np.float32)
     spills = _relator_values(group, lambda g, s: f2_product(zs[s], diag(g)))
-    cob = _schreier_walk(group, [lat.matrix(s) for s in gens])[1]
-    rank0 = GF2Matrix.from_dense(cob).rank()
-    return [2] * (GF2Matrix.from_dense(np.vstack([cob, spills])).rank() - rank0)
+    cob = Subspace.span(_schreier_walk(lat)[1], spills.shape[1])
+    return [2] * Subspace.span(cob.reduce(spills), cob.ambient_dim).dim
 
 
 # ---------------------------------------------------------------------------
@@ -1056,13 +1044,11 @@ def lattice_from_json(group: FiniteGroup, data: dict) -> GLattice:
     tree = cayley_tree(group, [el for el, _ in entries])
     if len(tree.order) != group.order:
         raise ValidationError("listed elements do not generate the group")
-    maxes = [_abs_max(mat) for _, mat in entries]
-    known = {0: (np.eye(rank, dtype=np.int64), 1)}
+    known = {0: np.eye(rank, dtype=np.int64)}
     for b in tree.order[1:]:
-        (a, a_max), i = known[tree.parent[b]], tree.gen[b]
-        prod = _exact_product(a, a_max, entries[i][1], maxes[i])
-        known[b] = (prod, _abs_max(prod))
-    lat = GLattice(group, [known[s][0] for s in group.generators()],
+        known[b] = _exact_product(known[tree.parent[b]],
+                                  entries[tree.gen[b]][1])
+    lat = GLattice(group, [known[s] for s in group.generators()],
                    rank=rank, name="from-json")
     for el, mat in entries:
         if not np.array_equal(lat.matrix(el), mat):

@@ -296,24 +296,9 @@ class GF2Matrix:
         return len(pivots)
 
 
-def gf2_rref_dense(arr: np.ndarray):
-    g = GF2Matrix.from_dense(arr)
-    red, pivots, _ = g.rref()
-    return red.head(len(pivots)).to_dense(), pivots
-
-
 def f2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b mod 2 for float32 0/1 factors, as int64; exact below 2^24 terms."""
     return (a @ b).astype(np.int64) & 1
-
-
-def gf2_reduce(rows: np.ndarray, pivots, echelon: np.ndarray) -> np.ndarray:
-    """Residues of 0/1 integer rows modulo a reduced echelon basis over F2.
-
-    `echelon` holds the basis rows as float32 and `pivots` their pivot
-    columns; every basis row vanishes in the other rows' pivot columns.
-    """
-    return rows ^ f2_product(rows[:, pivots].astype(np.float32), echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +322,12 @@ class Subspace:
 
     @classmethod
     def span(cls, rows, ambient_dim: int) -> "Subspace":
-        rows = np.asarray(rows, dtype=np.int64) & 1
+        rows = np.asarray(rows, dtype=np.int64)     # from_dense reads it mod 2
         if rows.size == 0:
             return cls.zero(ambient_dim)
-        rows = rows.reshape(-1, ambient_dim)
-        red, pivots = gf2_rref_dense(rows)
-        return cls(ambient_dim, red.astype(np.uint8), pivots)
+        red, pivots, _ = GF2Matrix.from_dense(
+            rows.reshape(-1, ambient_dim)).rref()
+        return cls(ambient_dim, red.head(len(pivots)).to_dense(), pivots)
 
     @property
     def dim(self) -> int:
@@ -350,11 +335,13 @@ class Subspace:
 
     def reduce(self, rows) -> np.ndarray:
         """Residues of a vector, or of each row of a matrix, modulo the
-        subspace: zero exactly on its members."""
+        subspace: zero exactly on its members. Every basis row vanishes in
+        the other rows' pivot columns, so one product reads them off."""
         rows = np.asarray(rows, dtype=np.int64) & 1
-        res = gf2_reduce(np.atleast_2d(rows), self._pivots,
-                         self.basis.astype(np.float32))
-        return res.reshape(rows.shape).astype(np.uint8)
+        flat = np.atleast_2d(rows)     # a view: the residues land in rows
+        flat ^= f2_product(flat[:, self._pivots].astype(np.float32),
+                           self.basis.astype(np.float32))
+        return rows.astype(np.uint8)
 
     def contains_vector(self, v) -> bool:
         return not self.reduce(v).any()

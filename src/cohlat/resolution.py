@@ -18,9 +18,8 @@ import numpy as np
 from .errors import (BudgetExceeded, IncompatibleOperands, InternalInvariant,
                      LiftFailed, ValidationError)
 from .groups import FiniteGroup, Subgroup
-from .linalg import (MAX_MOD_EXP, GF2Matrix, ModKSolver, _word, f2_product,
-                     gf2_reduce, gf2_rref_dense, howell_form,
-                     kernel_basis_modk)
+from .linalg import (MAX_MOD_EXP, GF2Matrix, ModKSolver, Subspace, _word,
+                     f2_product, howell_form, kernel_basis_modk)
 
 MAX_RESOLUTION_DEGREE = 12
 
@@ -167,8 +166,7 @@ def _minimal_generators(cx: GModuleComplex, degree: int,
     bar = kernel_rows & 1
     radical = np.vstack([cx.act(degree, g, bar) ^ bar
                          for g in cx.group.generators()])
-    echelon, pivots = gf2_rref_dense(radical)
-    residues = gf2_reduce(bar, pivots, echelon.astype(np.float32))
+    residues = Subspace.span(radical, bar.shape[1]).reduce(bar)
     return kernel_rows[GF2Matrix.from_dense(residues.T).rref()[1]]
 
 

@@ -19,8 +19,8 @@ from cohlat.groups import (BUILTIN_GROUPS, FiniteGroup, Subgroup,
 import cohlat
 from cohlat import lattices, linalg
 from cohlat.lattices import (GLattice, LatticeSES, _diag_block,
-                             _equivariant, _pair_arrays, _product_perm,
-                             _relator_values, _schreier_walk,
+                             _equivariant, _exact_product, _pair_arrays,
+                             _product_perm, _relator_values, _schreier_walk,
                              _wedge_minors_of_map, alpha_image, build_mnq,
                              builtin_lattice, coflasque_resolution, direct_sum,
                              exterior_of_rank_one_extension, exterior_ses,
@@ -131,6 +131,54 @@ def test_large_entries_compose_exactly_when_products_fit():
     assert lat.matrix(1).tolist() == a.tolist()
     data = {"rank": 2, "generators": [{"element": 1, "matrix": a.tolist()}]}
     assert lattice_from_json(c2, data).matrix(1).tolist() == a.tolist()
+
+
+def test_cocycles_refuse_an_action_that_wraps_in_int64():
+    # s^2 on C4 composes B B = (1 - 2^64) I, which int64 wraps to I
+    with pytest.raises(ValidationError, match="leave int64"):
+        integral_cocycles(builtin_group("C4"), [_WRAPS_TO_ONE])
+
+
+def _exact(a, b):
+    return (a.astype(object) @ b.astype(object)).tolist()
+
+
+def test_exact_product_switches_to_python_ints_at_the_int64_bound():
+    # one row against one column of two equal entries x and y: int64 while
+    # x * y * 2 < 2^63
+    x = np.array([[1 << 31, 1 << 31]], dtype=np.int64)
+    below = np.array([[(1 << 31) - 1]] * 2, dtype=np.int64)
+    out = _exact_product(x, below)                  # 2^63 - 2^32, in int64
+    assert out.dtype == np.int64 and out.tolist() == _exact(x, below)
+    at = np.array([[1 << 31]] * 2, dtype=np.int64)  # 2^63 leaves int64
+    with pytest.raises(ValidationError, match="leave int64"):
+        _exact_product(x, at)
+    # past the bound, products that fit come back exact, as int64
+    for a, b in ((x, np.array([[1 << 31], [-(1 << 31)]])),
+                 (np.ones((1, 3), dtype=np.int64),
+                  np.array([[1 << 62], [1 << 62], [-(1 << 62)]]))):
+        out = _exact_product(a, b)
+        assert out.dtype == np.int64 and out.tolist() == _exact(a, b)
+
+
+def test_schreier_walk_reads_the_cached_element_matrices(monkeypatch):
+    lat = builtin_lattice("M", builtin_group("D4"))
+    calls = []
+    real = lattices._exact_product
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+    monkeypatch.setattr(lattices, "_exact_product", counting)
+    fresh = GLattice(lat.group, lat._gen_mats, validate=False)
+    _schreier_walk(fresh)        # composes down the tree, once per element
+    assert len(calls) == lat.group.order - 1 - len(lat.group.generators())
+    for g in range(lat.group.order):
+        lat.matrix(g)
+    calls.clear()
+    system = _schreier_walk(lat)[1]
+    assert not calls
+    assert np.array_equal(system, _schreier_walk(fresh)[1])
 
 
 def test_apply_agrees_with_matrix():
@@ -427,6 +475,22 @@ def test_equivariance_reads_masked_rows_mod_2():
                             masked([[-1, 0], [0, 1]]))
 
 
+def test_equivariance_and_composite_checks_are_exact_over_z():
+    # A^2 = I on Z^4, and A f - f = (-2^64, 2^64, 2^64, 0) over Z, which
+    # int64 products wrap to zero; so does the row (1, 1, 1, 1) against f
+    c2 = builtin_group("C2")
+    a = np.diag([1, -1, -1, -1])
+    a[0] = 1
+    mid = GLattice(c2, [a])
+    f = np.array([[0], [-(1 << 63)], [-(1 << 63)], [0]], dtype=np.int64)
+    triv = GLattice.trivial(c2)
+    with pytest.raises(ValidationError, match="leave int64"):
+        _equivariant(f, triv, mid)
+    proj = np.array([[1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]])
+    with pytest.raises(ValidationError, match="leave int64"):
+        LatticeSES(triv, mid, GLattice.trivial(c2, rank=3), f, proj).verify()
+
+
 def test_ses_verify_rejects_partial_mask():
     c2 = builtin_group("C2")
     gam = gamma2(GLattice.regular(c2))   # mask is [False, True, True]
@@ -647,7 +711,7 @@ def test_schreier_walk_matches_the_bfs_walk(name):
     g = builtin_group(name)
     for lat in _tree_cases(g):
         mats = [lat.matrix(s) for s in g.generators()]
-        coeff, system = _schreier_walk(g, mats)
+        coeff, system = _schreier_walk(lat)
         want_coeff, want_system = _schreier_reference(g, mats)
         assert system.dtype == np.int64
         assert np.array_equal(system, want_system), lat.name
@@ -918,7 +982,7 @@ def test_relator_values_of_a_coboundary_are_the_closing_system():
             return (f[:, s] @ mats[a].T + f[:, g.table[a, s]] + f[:, a]) & 1
         got = _relator_values(g, delta_f)
         x = np.concatenate([f[:, s] for s in gens], axis=1)
-        system = _schreier_walk(g, [lat.matrix(s) for s in gens])[1]
+        system = _schreier_walk(lat)[1]
         assert got.shape == (3, (g.order * (len(gens) - 1) + 1) * lat.rank)
         assert np.array_equal(got, (x @ system) & 1), (g.order, lat.name)
 

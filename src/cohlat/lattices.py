@@ -114,21 +114,19 @@ class GLattice:
             a = tree.parent[a]
         for b in reversed(path):
             a, i = tree.parent[b], tree.gen[b]
-            if self.monomial:
-                ps, ss = self._gen_ps[i]
-                if a == 0:
-                    self._cache[b] = (ps.copy(), ss.copy())
-                else:
-                    pa, sa = self._cache[a]
-                    self._cache[b] = (pa[ps], sa[ps] * ss)
-            else:
-                self._cache[b] = (self._gen_mats[i].copy() if a == 0
-                                  else self._times_gen(a, i))
+            # from the identity, a copy of the generator's action: no product
+            self._cache[b] = (self._step(self._cache[a], i) if a else
+                              tuple(x.copy() for x in self._gen_ps[i])
+                              if self.monomial else self._gen_mats[i].copy())
         return self._cache[g]
 
-    def _times_gen(self, g: int, i: int) -> np.ndarray:
-        """A(g) A(s_i) for a dense lattice, exact (_exact_product)."""
-        return _exact_product(self._action(g), self._gen_mats[i])
+    def _step(self, act, i: int):
+        """The action of g s_i from the action act of g: a gather if
+        monomial, else an exact product (_exact_product)."""
+        if self.monomial:
+            ps, ss = self._gen_ps[i]
+            return act[0][ps], act[1][ps] * ss
+        return _exact_product(act, self._gen_mats[i])
 
     def matrix(self, g: int) -> np.ndarray:
         if self.monomial:
@@ -139,14 +137,26 @@ class GLattice:
         return self._action(g)
 
     def apply(self, g: int, rows: np.ndarray) -> np.ndarray:
-        """A(g) applied to a vector, or to each row of a matrix."""
+        """rows A(g)^T, A(g) applied to a vector or to each row of a matrix:
+        a gather if monomial, else an exact product (_exact_product)."""
         rows = np.asarray(rows, dtype=np.int64)
         if self.monomial:
             p, s = self._action(g)
             out = np.zeros_like(rows)
             out[..., p] = s * rows
             return out
-        return rows @ self.matrix(g).T
+        return _exact_product(np.atleast_2d(rows),
+                              self._action(g).T).reshape(rows.shape)
+
+    def pull(self, g: int, rows: np.ndarray) -> np.ndarray:
+        """rows A(g), a vector or each row of a matrix times A(g): a gather
+        if monomial, else an exact product (_exact_product)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if self.monomial:
+            p, s = self._action(g)
+            return rows[..., p] * s
+        return _exact_product(np.atleast_2d(rows),
+                              self._action(g)).reshape(rows.shape)
 
     def _validate(self):
         if not self.monomial:
@@ -176,16 +186,9 @@ class GLattice:
         for g, i, gs, is_tree in self.group.spanning_tree().edges:
             if is_tree:
                 continue
-            if self.monomial:
-                pg, sg = self._action(g)
-                ps, ss = self._gen_ps[i]
-                pe, se = self._action(gs)
-                ok = (np.array_equal(pe, pg[ps])
-                      and np.array_equal(se, sg[ps] * ss))
-            else:
-                ok = _agree(self.matrix(gs), self._times_gen(g, i),
-                            self.mod2_mask)
-            if not ok:
+            got, want = self._action(gs), self._step(self._action(g), i)
+            if not (all(map(np.array_equal, got, want)) if self.monomial
+                    else _agree(got, want, self.mod2_mask)):
                 raise ValidationError(
                     "generator actions violate the group relations")
 
@@ -249,10 +252,10 @@ def direct_sum(*lats: GLattice) -> GLattice:
     if any(l.mod2_mask is not None for l in lats):
         raise IncompatibleOperands("direct sum needs free lattices")
     gens = group.generators()
-    total = sum(l.rank for l in lats)
+    offs = np.cumsum([0] + [l.rank for l in lats])
+    total = int(offs[-1])
     name = "+".join(l.name or "?" for l in lats)
     if all(l.monomial for l in lats):
-        offs = np.cumsum([0] + [l.rank for l in lats])
         acts = []
         for i, _ in enumerate(gens):
             p = np.concatenate([l._gen_ps[i][0] + off
@@ -263,14 +266,10 @@ def direct_sum(*lats: GLattice) -> GLattice:
                         permutation=all(l.permutation for l in lats),
                         name=name, validate=False)
     _check_dense_rank(total)
-    mats = []
-    for g in gens:
-        m = np.zeros((total, total), dtype=np.int64)
-        at = 0
-        for l in lats:
-            m[at:at + l.rank, at:at + l.rank] = l.matrix(g)
-            at += l.rank
-        mats.append(m)
+    mats = [np.zeros((total, total), dtype=np.int64) for _ in gens]
+    for l, off in zip(lats, offs):
+        for m, g in zip(mats, gens):
+            m[off:off + l.rank, off:off + l.rank] = l.matrix(g)
     return GLattice(group, mats, rank=total, name=name, validate=False)
 
 
@@ -374,8 +373,7 @@ def _equivariant(f: np.ndarray, src: GLattice, dst: GLattice) -> bool:
     mask = dst.mod2_mask
     if mask is None and src.mod2_mask is not None and src.mod2_mask.all():
         mask = np.ones(dst.rank, dtype=bool)
-    return all(_agree(_exact_product(dst.matrix(g), f),
-                      _exact_product(f, src.matrix(g)), mask)
+    return all(_agree(dst.apply(g, f.T).T, src.pull(g, f), mask)
                for g in src.group.generators())
 
 
@@ -496,25 +494,26 @@ def _product_perm(group: FiniteGroup, g: int) -> np.ndarray:
     return (t[g][:, None] * n + t[g][None, :]).ravel()
 
 
-def _move_pairs(group: FiniteGroup, g: int, rows: np.ndarray) -> np.ndarray:
-    """Rows of the product lattice moved by g."""
-    out = np.empty_like(rows)
-    out[:, _product_perm(group, g)] = rows
-    return out
+def _pair_lattice(group: FiniteGroup) -> GLattice:
+    """The permutation lattice Z[G x G], pair (a, b) at coordinate a*n + b."""
+    ones = np.ones(group.order ** 2, dtype=np.int64)
+    return GLattice(group, [(_product_perm(group, s), ones)
+                            for s in group.generators()],
+                    rank=group.order ** 2, permutation=True, name="pairs")
 
 
-def _sublattice_action(group: FiniteGroup, solver: IntSolver, move,
+def _sublattice_action(lat: GLattice, solver: IntSolver,
                        name: str) -> GLattice:
-    """Action on an invariant sublattice in the coordinates of its Hermite
-    basis solver.hnf: move(g, rows) moves rows by generator g, and one
-    batched solve per generator reads the moved basis back."""
+    """Action on an invariant sublattice of lat in the coordinates of its
+    Hermite basis solver.hnf: one batched solve per generator reads the
+    moved basis back."""
     mats = []
-    for g in group.generators():
-        x, ok = solver.solve(move(g, solver.hnf))
+    for g in lat.group.generators():
+        x, ok = solver.solve(lat.apply(g, solver.hnf))
         if not ok.all():
             raise InternalInvariant(f"{name} is not invariant")
         mats.append(x.T)
-    return GLattice(group, mats, rank=solver.hnf.shape[0], name=name)
+    return GLattice(lat.group, mats, rank=solver.hnf.shape[0], name=name)
 
 
 def build_mnq(group: FiniteGroup) -> MNQData:
@@ -537,9 +536,8 @@ def build_mnq(group: FiniteGroup) -> MNQData:
     torsion_free = all(int(hnf[i, c]) == 1 for i, c in enumerate(pivcols))
     if not torsion_free:
         torsion_free = not invariant_factors(rho)
-    image = _sublattice_action(
-        group, solver, lambda g, rows: _move_pairs(group, g, rows),
-        "two-slot-image")
+    image = _sublattice_action(_pair_lattice(group), solver,
+                               "two-slot-image")
     m_rank = n * n - hnf.shape[0]
     return MNQData(group, rho, ker, image, hnf, m_rank, torsion_free)
 
@@ -647,8 +645,13 @@ def _schreier_walk(lat: GLattice):
     the cocycle conditions are x @ system = 0, one column block per edge
     outside the BFS tree (a Schreier generator of the relation group). Two
     readers: integral_cocycles, and alpha_image, which reads system mod 2.
+    An entry sums at most |G| element actions, so the walk raises
+    ValidationError unless |G| max|A(g)| < 2^63.
     """
-    d, m = len(lat.group.generators()), lat.rank
+    d, m, n = len(lat.group.generators()), lat.rank, lat.group.order
+    if n * (1 if lat.monomial else max(
+            _abs_max(lat.matrix(g)) for g in range(n))) >= 1 << 63:
+        raise ValidationError("cocycle coefficients would leave int64")
     coeff = {0: np.zeros((m, d * m), dtype=np.int64)}
     closing = []
     for a, i, b, is_tree in lat.group.spanning_tree().edges:
@@ -802,8 +805,19 @@ class _CoverBlock:
     def of(cls, lat: GLattice, sub: Subgroup, rows) -> "_CoverBlock":
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, lat.rank)
         reps = sub.coset_reps()
-        images = np.stack([rows @ lat.matrix(int(r)).T for r in reps])
+        images = np.stack([lat.apply(int(r), rows) for r in reps])
         return cls(sub, reps, rows, images)
+
+    def lattice(self) -> GLattice:
+        """The permutation lattice Z[G/K] (x) Z^k of the block: basis
+        j*k + s goes to (coset of g r_j)*k + s under g."""
+        group, k = self.sub.parent, self.rows.shape[0]
+        coset = self.sub.coset_table()[0]
+        ones = np.ones(len(self.reps) * k, dtype=np.int64)
+        return GLattice(group, [((coset[group.table[g, self.reps]][:, None] * k
+                                  + np.arange(k)).ravel(), ones)
+                                for g in group.generators()],
+                        rank=len(ones), permutation=True, name="cover-block")
 
     def orbit_sums(self, h: Subgroup) -> np.ndarray:
         """Evaluated sums over the H-orbits of the block's basis: the images
@@ -904,27 +918,11 @@ def coflasque_resolution(lat: GLattice,
         raise InternalInvariant("no summand survives to cover the lattice")
     summands = [(tuple(int(x) for x in b.sub.elements), b.rows.shape[0])
                 for b in blocks]
-    total = sum(b.images.shape[0] * b.images.shape[1] for b in blocks)
-    gens = group.generators()
-    # cover basis j*k + s of a block goes to (g r_j's coset)*k + s under g
-    pacts = []
-    for g in gens:
-        perm = np.zeros(total, dtype=np.int64)
-        at = 0
-        for b in blocks:
-            k = b.rows.shape[0]
-            dst = b.sub.coset_table()[0][group.table[g, b.reps]]
-            perm[at:at + len(b.reps) * k] = at + (dst[:, None] * k
-                                                  + np.arange(k)).ravel()
-            at += len(b.reps) * k
-        pacts.append((perm, np.ones(total, dtype=np.int64)))
-    cover = GLattice(group, pacts, rank=total, permutation=True,
-                     name="coflasque-cover")
+    cover = direct_sum(*[b.lattice() for b in blocks])
     # column j*k + s of a block evaluates coset j of the block's row s
     ev = np.hstack([b.images.reshape(-1, lat.rank).T for b in blocks])
     solver = IntSolver(int_left_kernel(ev.T))
-    kernel = _sublattice_action(group, solver, cover.apply,
-                                "coflasque-kernel")
+    kernel = _sublattice_action(cover, solver, "coflasque-kernel")
     ses = LatticeSES(kernel, cover, lat, solver.hnf.T, ev).verify()
     for sub in classes:
         bad = h1_integral(sub, kernel)

@@ -381,9 +381,11 @@ _INT64_GUARD = 1 << 50
 
 
 def _as_int_matrix(a) -> np.ndarray:
+    """A copy in int64, or in Python ints when `a` holds them or an entry
+    at or past the int64 guard (-2^63 included, which np.abs misreads)."""
     arr = np.asarray(a)
-    if arr.dtype == object:
-        return arr.copy()
+    if arr.dtype == object or _abs_max(arr) >= _INT64_GUARD:
+        return arr.astype(object)
     return arr.astype(np.int64, order="C", copy=True)
 
 

@@ -23,9 +23,9 @@ from cohlat.errors import (BudgetExceeded, CoflasquenessCheckFailed,
 from cohlat.groups import subgroup_classes
 from cohlat.lattices import (CoflasqueResolution, GLattice, MNQData,
                              _diag_block, _equivariant, _marginal_quotient,
-                             _move_pairs, _pair_arrays, _sublattice_action,
-                             _wedge_minors_of_map, exterior_ses, h1_integral,
-                             lambda2)
+                             _pair_arrays, _pair_lattice, _sublattice_action,
+                             _wedge_minors_of_map, direct_sum, exterior_ses,
+                             h1_integral, lambda2)
 from cohlat.linalg import (GF2Matrix, IntSolver, Subspace, int_left_kernel,
                            kernel_basis_modk)
 from cohlat.resolution import GModuleComplex, lift_chain_map
@@ -230,14 +230,11 @@ def pullback_lattice(data: MNQData,
             np.eye(m.rank, dtype=np.int64), m, quo):
         raise IncompatibleOperands(
             "the resolution is not of the marginal quotient of this group")
-    n2 = data.rho.shape[1]
     ev = resolution.ses.proj
     solver = IntSolver(int_left_kernel(np.hstack([m_proj, -ev]).T))
-
-    def move(g, rows):
-        return np.hstack([_move_pairs(group, g, rows[:, :n2]),
-                          resolution.cover.apply(g, rows[:, n2:])])
-    out = _sublattice_action(group, solver, move, "pullback-kernel")
+    out = _sublattice_action(direct_sum(_pair_lattice(group),
+                                        resolution.cover),
+                             solver, "pullback-kernel")
     for sub in subgroup_classes(group):
         if h1_integral(sub, out):
             raise CoflasquenessCheckFailed("pullback kernel is not coflasque")

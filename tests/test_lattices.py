@@ -139,6 +139,22 @@ def test_cocycles_refuse_an_action_that_wraps_in_int64():
         integral_cocycles(builtin_group("C4"), [_WRAPS_TO_ONE])
 
 
+def test_schreier_walk_refuses_coefficients_past_int64():
+    # A = [[1, 2^62], [0, -1]] squares to I, so C8 acts by it; the closing
+    # system sums eight actions and holds -2^64, which int64 wraps to 0
+    c8 = builtin_group("C8")
+    a = np.array([[1, 1 << 62], [0, -1]], dtype=np.int64)
+    lat = GLattice(c8, [a])
+    with pytest.raises(ValidationError, match="leave int64"):
+        _schreier_walk(lat)
+    with pytest.raises(ValidationError, match="leave int64"):
+        integral_cocycles(c8, [a])
+    # at 2^59 the eight actions stay below 2^63, and the walk is exact
+    small = np.array([[1, 1 << 59], [0, -1]], dtype=np.int64)
+    system = _schreier_walk(GLattice(c8, [small]))[1]
+    assert system.tolist() == [[-8, 0], [-(1 << 61), 0]]
+
+
 def _exact(a, b):
     return (a.astype(object) @ b.astype(object)).tolist()
 
@@ -204,6 +220,44 @@ def test_apply_moves_a_batch_of_rows():
         for g in range(d4.order):
             want = [lat.matrix(g) @ r for r in rows]
             assert np.array_equal(lat.apply(g, rows), want)
+
+
+def _row_mover_cases():
+    d4, c4 = builtin_group("D4"), builtin_group("C4")
+    m = builtin_lattice("M", d4)
+    # monomial: the cover of M(D4), a wedge square, rank 0; then dense
+    return [coflasque_resolution(m).cover, lambda2(GLattice.regular(c4)),
+            GLattice(c4, [(np.zeros(0, dtype=np.int64),) * 2]),
+            m, GLattice.sign_lattice(d4), GLattice.trivial(d4, 0)]
+
+
+def test_apply_and_pull_are_the_matrix_products():
+    rng = np.random.default_rng(5)
+    lats = _row_mover_cases()
+    assert [lat.monomial for lat in lats] == [True] * 3 + [False] * 3
+    for lat in lats:
+        rows = rng.integers(-9, 10, size=(3, lat.rank))
+        for g in range(lat.group.order):
+            a = lat.matrix(g)
+            assert np.array_equal(lat.apply(g, rows), rows @ a.T)
+            assert np.array_equal(lat.pull(g, rows), rows @ a)
+            assert np.array_equal(lat.apply(g, rows[0]), a @ rows[0])
+            assert np.array_equal(lat.pull(g, rows[0]), rows[0] @ a)
+            for out in (lat.apply(g, rows), lat.pull(g, rows)):
+                assert out.shape == rows.shape and out.dtype == np.int64
+
+
+def test_apply_and_pull_are_exact():
+    # A = [[1, 2^62], [0, -1]]: A (0, 2) = (2^63, -2) and (2, 0) A =
+    # (2, 2^63) leave int64, which a raw int64 product wraps silently
+    c2 = builtin_group("C2")
+    lat = GLattice(c2, [np.array([[1, 1 << 62], [0, -1]], dtype=np.int64)])
+    with pytest.raises(ValidationError, match="leave int64"):
+        lat.apply(1, [[0, 2]])
+    with pytest.raises(ValidationError, match="leave int64"):
+        lat.pull(1, [2, 0])
+    assert lat.apply(1, [[0, 1]]).tolist() == [[1 << 62, -1]]
+    assert lat.pull(1, [[1, 0]]).tolist() == [[1, 1 << 62]]
 
 
 def test_regular_lattice_is_left_translation():
@@ -1134,6 +1188,59 @@ def test_free_cover_alone_fails_the_coflasque_check(monkeypatch):
     monkeypatch.setattr(lattices, "_top_down_blocks", free_only)
     with pytest.raises(CoflasquenessCheckFailed):
         coflasque_resolution(lat)
+
+
+def test_no_reader_densifies_a_monomial_lattice(monkeypatch):
+    # the cover, Z[G x G] and the blocks move rows by gathers alone
+    real = GLattice.matrix
+
+    def dense_only(lat, g):
+        if lat.monomial:
+            raise AssertionError(f"matrix of the monomial {lat.name}")
+        return real(lat, g)
+    monkeypatch.setattr(GLattice, "matrix", dense_only)
+    for name in ("D4", "Q8", "C4xC4"):
+        res = coflasque_resolution(builtin_lattice("M", builtin_group(name)))
+        res.ses.verify()
+        assert res.cover.monomial
+    assert build_mnq(builtin_group("V4")).m_rank == 9
+
+
+def _offset_cover(blocks):
+    """The cover's generator actions as offset permutations, assembled one
+    block after another: the reference for the direct sum of the blocks."""
+    group = blocks[0].sub.parent
+    total = sum(b.images.shape[0] * b.images.shape[1] for b in blocks)
+    pacts = []
+    for g in group.generators():
+        perm = np.zeros(total, dtype=np.int64)
+        at = 0
+        for b in blocks:
+            k = b.rows.shape[0]
+            dst = b.sub.coset_table()[0][group.table[g, b.reps]]
+            perm[at:at + len(b.reps) * k] = at + (dst[:, None] * k
+                                                  + np.arange(k)).ravel()
+            at += len(b.reps) * k
+        pacts.append(perm)
+    return pacts
+
+
+@pytest.mark.parametrize("name", SMALL_BUILTINS)
+def test_cover_is_the_direct_sum_of_its_blocks(name, monkeypatch):
+    g = builtin_group(name)
+    seen = []
+    real = lattices._top_down_blocks
+
+    def recording(lat, classes):
+        seen.extend(real(lat, classes))
+        return seen
+    monkeypatch.setattr(lattices, "_top_down_blocks", recording)
+    cover = coflasque_resolution(builtin_lattice("M", g)).cover
+    assert cover.monomial and cover.permutation
+    assert cover.rank == sum(b.images.shape[0] * b.images.shape[1]
+                             for b in seen)
+    for (p, s), want in zip(cover._gen_ps, _offset_cover(seen), strict=True):
+        assert np.array_equal(p, want) and (s == 1).all()
 
 
 def test_pullback_lattice_is_coflasque():

@@ -802,6 +802,14 @@ def test_hnf_transform_is_exact_and_unimodular(rows):
     assert all(hh[i][c] > 0 for i, c in enumerate(pivcols))
 
 
+def test_row_hnf_reads_the_int64_minimum_exactly():
+    # np.abs(-2^63) is -2^63: the row must go to Python ints at entry
+    h, pivcols = row_hnf(np.array([[-4, -2**63], [0, 0]], dtype=np.int64))
+    assert [[int(x) for x in r] for r in h] == [[4, 2**63]]
+    assert pivcols == [0]
+    assert int_left_kernel(np.array([[-2**63], [2]])).tolist() == [[1, 2**62]]
+
+
 def test_int_solver_rejects_a_corrupted_factorization():
     # zeroed row maxima blind the int64 guard: 2^30 * 2^40 wraps to 0, the
     # reduction calls the row a member, and the exact check must object

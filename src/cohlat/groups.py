@@ -88,10 +88,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def conjugate(self, g: int, h: int) -> int:
-        """g^-1 h g."""
-        return int(self.table[self.table[self.inv[g], h], g])
-
     @property
     def is_2group(self) -> bool:
         n = self.order

@@ -51,6 +51,14 @@ def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.astype(np.int64)
 
 
+def _signable(rows: np.ndarray) -> np.ndarray:
+    """The int64 rows, refused as _exact_product refuses them if an entry
+    is -2^63: a sign leaves it at |entry| 2^63 (-1 wraps it to itself)."""
+    if rows.min(initial=0) == np.iinfo(np.int64).min:
+        raise ValidationError("products of action matrices leave int64")
+    return rows
+
+
 def _agree(x: np.ndarray, y: np.ndarray, mask: Optional[np.ndarray]) -> bool:
     """Whether x = y over Z, the rows under mask read mod 2. Nothing is
     subtracted, so nothing can wrap."""
@@ -143,7 +151,7 @@ class GLattice:
         if self.monomial:
             p, s = self._action(g)
             out = np.zeros_like(rows)
-            out[..., p] = s * rows
+            out[..., p] = s * _signable(rows)
             return out
         return _exact_product(np.atleast_2d(rows),
                               self._action(g).T).reshape(rows.shape)
@@ -154,7 +162,7 @@ class GLattice:
         rows = np.asarray(rows, dtype=np.int64)
         if self.monomial:
             p, s = self._action(g)
-            return rows[..., p] * s
+            return _signable(rows)[..., p] * s
         return _exact_product(np.atleast_2d(rows),
                               self._action(g)).reshape(rows.shape)
 
@@ -831,22 +839,6 @@ class _CoverBlock:
         return sums.reshape(-1, self.images.shape[2])
 
 
-def _take_missing(span: IntSolver, candidates: np.ndarray, grow) -> List[int]:
-    """Indices of the candidates, in order, that lie outside the span at the
-    time they are reached; grow(i) gives the rows that choosing i brings."""
-    chosen: List[int] = []
-    at = 0
-    while at < candidates.shape[0]:
-        out = np.flatnonzero(~span.solve(candidates[at:])[1])
-        if out.size == 0:
-            break
-        at += int(out[0])
-        chosen.append(at)
-        span.add(grow(at))
-        at += 1
-    return chosen
-
-
 def _top_down_blocks(lat: GLattice,
                      classes: List[Subgroup]) -> List[_CoverBlock]:
     """Summands of a small permutation cover with coflasque kernel.
@@ -855,34 +847,35 @@ def _top_down_blocks(lat: GLattice,
     image of the cover's H-fixed points holds the norms N_H(L) (for any
     cover, N_H ev(p) = ev(N_H p)) and the evaluated H-orbit sums of the
     summands chosen so far; Z[G/H] (x) f is added for each row f of L^H
-    outside that span. H^1(H, R) is the cokernel of P^H -> L^H for the
-    kernel R, so it vanishes. Last, Z[G] (x) e is added for each basis row e
-    outside the image, which makes the cover onto. The trivial class never
-    adds a summand, since N_1(L) = L.
+    outside that span, in order, each evaluated once. H^1(H, R) is the
+    cokernel of P^H -> L^H for the kernel R, so it vanishes. The trivial
+    class comes last and brings no norms (N_1(L) = L would fill the span):
+    its rows are the basis of L, so its summands Z[G] (x) e make the cover
+    onto.
     """
     blocks: List[_CoverBlock] = []
     for sub in reversed(classes):
-        if sub.order == 1:
-            continue
         fixed = _fixed_rows(lat.rank, lat.restricted_matrices(sub))
         if fixed.shape[0] == 0:
             continue
-        norm = sum(lat.matrix(int(h)) for h in sub.elements)
-        span = IntSolver(np.vstack([norm.T]
-                                   + [b.orbit_sums(sub) for b in blocks]))
-        take = _take_missing(
-            span, fixed,
-            lambda i: _CoverBlock.of(lat, sub, fixed[i]).orbit_sums(sub))
-        if take:
-            blocks.append(_CoverBlock.of(lat, sub, fixed[take]))
-    span = IntSolver(np.vstack([np.zeros((0, lat.rank), dtype=np.int64)]
-                               + [b.images.reshape(-1, lat.rank)
-                                  for b in blocks]))
-    free, eye = Subgroup(lat.group, [0]), np.eye(lat.rank, dtype=np.int64)
-    take = _take_missing(span, eye, lambda i: _CoverBlock.of(
-        lat, free, eye[i]).images.reshape(-1, lat.rank))
-    if take:
-        blocks.append(_CoverBlock.of(lat, free, eye[take]))
+        known = [np.zeros((0, lat.rank), dtype=np.int64)]
+        if sub.order > 1:
+            known.append(sum(lat.matrix(int(h)) for h in sub.elements).T)
+        span = IntSolver(np.vstack(known + [b.orbit_sums(sub)
+                                            for b in blocks]))
+        pieces, at = [], 0
+        while at < fixed.shape[0]:
+            out = np.flatnonzero(~span.solve(fixed[at:])[1])
+            if out.size == 0:
+                break
+            at += int(out[0])
+            pieces.append(_CoverBlock.of(lat, sub, fixed[at]))
+            span.add(pieces[-1].orbit_sums(sub))
+            at += 1
+        if pieces:
+            blocks.append(_CoverBlock(
+                sub, pieces[0].reps, np.vstack([b.rows for b in pieces]),
+                np.concatenate([b.images for b in pieces], axis=1)))
     return blocks
 
 

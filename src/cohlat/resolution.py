@@ -49,6 +49,7 @@ class GModuleComplex:
         self.coord_index: List[np.ndarray] = []  # (rank, |H|) -> coordinate
         self._actions: Dict[int, np.ndarray] = {}
         self._solvers: Dict[int, ModKSolver] = {}
+        # guards _solvers, the mod-2 factorizations restricted complexes share
         self._lock = threading.Lock()
 
     @property
@@ -174,6 +175,7 @@ def _minimal_generators(cx: GModuleComplex, degree: int,
 # criterion run holds 9, one per isomorphism type of subgroup
 RES_CACHE_SIZE = 64
 _RES_CACHE: "OrderedDict[Tuple[FiniteGroup, int], GModuleComplex]" = OrderedDict()
+# guards _RES_CACHE and the in-place extension of the complexes it holds
 _RES_LOCK = threading.Lock()
 
 

@@ -258,6 +258,15 @@ def test_apply_and_pull_are_exact():
         lat.pull(1, [2, 0])
     assert lat.apply(1, [[0, 1]]).tolist() == [[1 << 62, -1]]
     assert lat.pull(1, [[1, 0]]).tolist() == [[1, 1 << 62]]
+    # on a monomial lattice a sign -1 wraps -2^63 back to itself, so the
+    # gathers refuse it as the dense product above refuses |-2^63|
+    mono = lambda2(GLattice.regular(c2))
+    assert mono.monomial and mono.matrix(1).tolist() == [[-1]]
+    for move in (mono.apply, mono.pull):
+        for g, rows in ((1, [-2**63]), (0, [[-2**63]])):
+            with pytest.raises(ValidationError, match="leave int64"):
+                move(g, rows)
+        assert move(1, [1 - 2**63]).tolist() == [2**63 - 1]
 
 
 def test_regular_lattice_is_left_translation():
@@ -1241,6 +1250,85 @@ def test_cover_is_the_direct_sum_of_its_blocks(name, monkeypatch):
                              for b in seen)
     for (p, s), want in zip(cover._gen_ps, _offset_cover(seen), strict=True):
         assert np.array_equal(p, want) and (s == 1).all()
+
+
+def _two_phase_blocks(lat, classes):
+    """The cover chosen in two phases, the reference for the one top-down
+    loop: the proper classes, then a separate free step over the basis,
+    each chosen block evaluated again after the scan that chose it."""
+    def take_missing(span, candidates, grow):
+        chosen, at = [], 0
+        while at < candidates.shape[0]:
+            out = np.flatnonzero(~span.solve(candidates[at:])[1])
+            if out.size == 0:
+                break
+            at += int(out[0])
+            chosen.append(at)
+            span.add(grow(at))
+            at += 1
+        return chosen
+
+    of = lattices._CoverBlock.of
+    blocks = []
+    for sub in reversed(classes):
+        if sub.order == 1:
+            continue
+        fixed = lattices._fixed_rows(lat.rank, lat.restricted_matrices(sub))
+        if fixed.shape[0] == 0:
+            continue
+        norm = sum(lat.matrix(int(h)) for h in sub.elements)
+        span = linalg.IntSolver(np.vstack(
+            [norm.T] + [b.orbit_sums(sub) for b in blocks]))
+        take = take_missing(span, fixed, lambda i: of(
+            lat, sub, fixed[i]).orbit_sums(sub))
+        if take:
+            blocks.append(of(lat, sub, fixed[take]))
+    span = linalg.IntSolver(np.vstack(
+        [np.zeros((0, lat.rank), dtype=np.int64)]
+        + [b.images.reshape(-1, lat.rank) for b in blocks]))
+    free, eye = Subgroup(lat.group, [0]), np.eye(lat.rank, dtype=np.int64)
+    take = take_missing(span, eye, lambda i: of(
+        lat, free, eye[i]).images.reshape(-1, lat.rank))
+    if take:
+        blocks.append(of(lat, free, eye[take]))
+    return blocks
+
+
+def test_one_loop_chooses_the_two_phase_blocks():
+    # relabelled cyclic groups, where the free step can add a summand the
+    # proper classes left out (the built-ins are pinned by LATTICE_PINS)
+    kernels = []
+    for name, copy in [("C4", 1), ("C4", 2), ("C4", 3), ("C8", 1),
+                       ("C8", 2), ("C16", 1)]:
+        g = _relabelled(builtin_group(name), copy)
+        lat, classes = builtin_lattice("M", g), subgroup_classes(g)
+        got = lattices._top_down_blocks(lat, classes)
+        want = _two_phase_blocks(lat, classes)
+        assert len(got) == len(want), g.name
+        for a, b in zip(got, want):
+            assert np.array_equal(a.sub.elements, b.sub.elements), g.name
+            for x, y in ((a.rows, b.rows), (a.images, b.images)):
+                assert x.dtype == y.dtype and x.shape == y.shape, g.name
+                assert x.tobytes() == y.tobytes(), g.name
+        kernels.append(coflasque_resolution(lat).kernel_lattice.rank)
+    assert 0 in kernels and max(kernels) > 0
+
+
+@pytest.mark.parametrize("group", [
+    pytest.param(builtin_group("D4"), id="D4"),
+    pytest.param(_relabelled(builtin_group("C8"), 1), id="C8-r1")])
+def test_each_chosen_row_is_evaluated_once(group, monkeypatch):
+    real = lattices._CoverBlock.of.__func__
+    evaluated = []
+
+    def counting(cls, lat, sub, rows):
+        block = real(cls, lat, sub, rows)
+        evaluated.append(block.images.shape[0] * block.images.shape[1])
+        return block
+    monkeypatch.setattr(lattices._CoverBlock, "of", classmethod(counting))
+    res = coflasque_resolution(builtin_lattice("M", group))
+    assert res.kernel_lattice.rank > 0
+    assert sum(evaluated) == res.cover.rank
 
 
 def test_pullback_lattice_is_coflasque():

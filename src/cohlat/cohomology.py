@@ -111,11 +111,6 @@ class GroupCohomology:
             self._deltas[key] = d
         return d
 
-    def check_minimal(self) -> bool:
-        """Mod-2 differentials of a minimal resolution all vanish."""
-        return not any(self.delta(i, 1).any()
-                       for i in range(self.max_degree))
-
     def cohomology_invariants(self, degree: int, m_exp: int) -> List[int]:
         """H^degree(G, Z/2^m) as a list of invariant factors."""
         self._check_degree(degree)
@@ -326,34 +321,20 @@ def _bar_delta(group: FiniteGroup, i: int) -> np.ndarray:
     """Differential from functions on G^i to functions on G^(i+1).
 
     Trivial coefficients, so the usual alternating face sum with the first
-    and last faces dropping an argument.
+    and last faces dropping an argument. Column c is the tuple of its base-n
+    digits, the leftmost argument most significant; face j adds (-1)^j at
+    the row of its i-tuple, for all columns at once.
     """
     n = group.order
-    t = group.table
-    dom = n ** i
-    cod = n ** (i + 1)
-    d = np.zeros((dom, cod), dtype=np.int64)
-    for col in range(cod):
-        tup = []
-        x = col
-        for _ in range(i + 1):
-            tup.append(x % n)
-            x //= n
-        tup.reverse()  # tup[0] is the leftmost argument
-
-        def pack(seq):
-            out = 0
-            for s in seq:
-                out = out * n + s
-            return out
-
-        d[pack(tup[1:]), col] += 1
-        sign = -1
-        for j in range(i):
-            merged = tup[:j] + [int(t[tup[j], tup[j + 1]])] + tup[j + 2:]
-            d[pack(merged), col] += sign
-            sign = -sign
-        d[pack(tup[:-1]), col] += sign
+    cols = np.arange(n ** (i + 1), dtype=np.int64)
+    tup = cols[:, None] // n ** np.arange(i, -1, -1, dtype=np.int64) % n
+    place = n ** np.arange(i - 1, -1, -1, dtype=np.int64)
+    faces = [tup[:, 1:]] + [
+        np.hstack([tup[:, :j], group.table[tup[:, j], tup[:, j + 1], None],
+                   tup[:, j + 2:]]) for j in range(i)] + [tup[:, :-1]]
+    d = np.zeros((n ** i, cols.size), dtype=np.int64)
+    for j, face in enumerate(faces):
+        np.add.at(d, (face @ place, cols), (-1) ** j)
     return d
 
 

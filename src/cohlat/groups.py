@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -177,6 +177,22 @@ def cayley_tree(group: FiniteGroup, gens: Sequence[int]) -> CayleyTree:
     return CayleyTree(tuple(order), tuple(parent), tuple(gen), tuple(edges))
 
 
+def relator_walk(group: FiniteGroup, step, start):
+    """Additive walk down the spanning tree: u(1) = start and
+    u(a s_i) = u(a) + step(a, i) on tree edges. Returns (u, relators): u by
+    element in BFS order, and for each other edge a -> b = a s_i, in edge
+    order, u(b) - u(a) - step(a, i), the value on its Schreier relator
+    t_a s_i t_b^-1. These relators generate the relations of the generators.
+    """
+    u, relators = {0: start}, []
+    for a, i, b, is_tree in group.spanning_tree().edges:
+        if is_tree:
+            u[b] = u[a] + step(a, i)
+        else:
+            relators.append(u[b] - u[a] - step(a, i))
+    return u, relators
+
+
 def _prime_power_base(n: int) -> Optional[int]:
     for p in (2, 3, 5, 7, 11, 13):
         if n % p == 0:
@@ -231,11 +247,6 @@ def _generated(group: FiniteGroup, seed: Sequence[int]) -> np.ndarray:
         mask |= fresh
         frontier = fresh.nonzero()[0]
     return mask.nonzero()[0]
-
-
-def closure(group: FiniteGroup, seed: Iterable[int]) -> set:
-    """Subgroup generated by the seed elements."""
-    return set(_generated(group, [int(s) for s in seed]).tolist())
 
 
 def isomorphism(a: FiniteGroup, b: FiniteGroup) -> Optional[np.ndarray]:
@@ -384,11 +395,6 @@ class Subgroup:
         """Left-coset representatives (g for cosets gH), identity first."""
         return np.flatnonzero(self.coset_table()[1] == 0).astype(np.int64)
 
-    def right_coset_reps(self) -> np.ndarray:
-        """Right-coset representatives (cosets Hg), identity first."""
-        pos = self.right_coset_table()[1]
-        return np.flatnonzero(pos == 0).astype(np.int64)
-
     def as_group(self) -> Tuple[FiniteGroup, np.ndarray]:
         """The subgroup as a standalone group plus local->global element map."""
         if self._as_group is None:
@@ -504,26 +510,16 @@ def commutator_subgroup(group: FiniteGroup) -> set:
 
 
 def abelianization(group: FiniteGroup) -> List[int]:
-    """Invariant factors of G/[G,G] (1s dropped), via Smith form of the
-    relation matrix e_i + e_j - e_{i*j} of the commutator quotient."""
-    derived = commutator_subgroup(group)
-    quot, _ = quotient_group(group, sorted(derived))
-    m = quot.order
-    rels = [np.zeros(m, dtype=np.int64)]
-    rels[0][0] = 1
-    for i in range(m):
-        for j in range(i, m):
-            r = np.zeros(m, dtype=np.int64)
-            r[i] += 1
-            r[j] += 1
-            r[int(quot.table[i, j])] -= 1
-            rels.append(r)
-    hnf, _ = row_hnf(np.array(rels))
-    facs = invariant_factors(hnf)
-    free = m - hnf.shape[0]
-    if free != 0:
+    """Invariant factors of G/[G,G] (1s dropped): Z^d on the d generators
+    modulo the exponent sums of the Schreier relators (relator_walk)."""
+    d = len(group.generators())
+    unit = np.eye(d, dtype=np.int64)
+    rels = relator_walk(group, lambda a, i: unit[i],
+                        np.zeros(d, dtype=np.int64))[1]
+    hnf, _ = row_hnf(np.array(rels, dtype=np.int64).reshape(len(rels), d))
+    if hnf.shape[0] != d:
         raise InternalInvariant("commutator quotient of a finite group must be finite")
-    return facs
+    return invariant_factors(hnf)
 
 
 # ---------------------------------------------------------------------------

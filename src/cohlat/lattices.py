@@ -17,7 +17,8 @@ import numpy as np
 from .errors import (BudgetExceeded, CoflasquenessCheckFailed,
                      IncompatibleOperands, InternalInvariant,
                      NotRankOneKernel, ValidationError)
-from .groups import FiniteGroup, Subgroup, cayley_tree, subgroup_classes
+from .groups import (FiniteGroup, Subgroup, cayley_tree, relator_walk,
+                     subgroup_classes)
 from .linalg import (GF2Matrix, IntSolver, Subspace, _abs_max, f2_product,
                      int_left_kernel, int_spans_equal, invariant_factors,
                      kernel_basis_modk, modk_quotient_invariant_factors,
@@ -25,9 +26,10 @@ from .linalg import (GF2Matrix, IntSolver, Subspace, _abs_max, f2_product,
 
 MAX_DENSE_RANK = 1200
 H1_MAX_RANK = 300
-# phi reaches every built-in up to this order: the top-down coflasque cover
-# stays under H1_MAX_RANK there (rank 256 at most, on D8 and Q16), and an
-# order-16 phi takes 0.5-1.6 s on one core
+# phi reaches every built-in up to this order, an order-16 phi in 0.5-1.6 s
+# on one core. H1_MAX_RANK bounds only the coflasque kernel (rank 31 at most
+# at order 16, 33-48 on the order-32 products measured), never the cover, so
+# it does not stop order 32: the order-32 cover's 50-60 s does
 ALPHA_MAX_ORDER = 16
 ALPHA_MAX_WEDGE_COLUMNS = 4000   # alpha's fixed-point columns: rank(W) * gens
 
@@ -651,7 +653,8 @@ def _schreier_walk(lat: GLattice):
     d group generators, concatenated into one vector x of d*m unknowns.
     Returns (coeff, system): z(g) = coeff[g] @ x for every element g, and
     the cocycle conditions are x @ system = 0, one column block per edge
-    outside the BFS tree (a Schreier generator of the relation group). Two
+    outside the BFS tree (a Schreier generator of the relation group): the
+    relator_walk whose step at a -> a s_i is A(a) in column block i. Two
     readers: integral_cocycles, and alpha_image, which reads system mod 2.
     An entry sums at most |G| element actions, so the walk raises
     ValidationError unless |G| max|A(g)| < 2^63.
@@ -660,15 +663,10 @@ def _schreier_walk(lat: GLattice):
     if n * (1 if lat.monomial else max(
             _abs_max(lat.matrix(g)) for g in range(n))) >= 1 << 63:
         raise ValidationError("cocycle coefficients would leave int64")
-    coeff = {0: np.zeros((m, d * m), dtype=np.int64)}
-    closing = []
-    for a, i, b, is_tree in lat.group.spanning_tree().edges:
-        expr = coeff[a].copy()
-        expr[:, i * m:(i + 1) * m] += lat.matrix(a)
-        if is_tree:
-            coeff[b] = expr
-        else:
-            closing.append(coeff[b] - expr)
+    unit = np.eye(d, dtype=np.int64)
+    coeff, closing = relator_walk(
+        lat.group, lambda a, i: np.kron(unit[i], lat.matrix(a)),
+        np.zeros((m, d * m), dtype=np.int64))
     # |G| * d edges against |G| - 1 tree edges: closing is never empty
     return coeff, np.hstack([c.T for c in closing])
 
@@ -705,17 +703,11 @@ def integral_cocycles(group: FiniteGroup, mats: List[np.ndarray]):
 
 def _relator_values(group: FiniteGroup, c) -> np.ndarray:
     """A normalized two-cochain mod 2, given as c(a, s) for s a generator, on
-    the Schreier relators in the column order of _schreier_walk's system:
-    u(1) = 0 and u(a s) = u(a) + c(a, s) down the tree, and a non-tree edge
-    a -> b = a s reads u(a) + c(a, s) - u(b)."""
-    gens, u, out = group.generators(), {0: 0}, []
-    for a, i, b, is_tree in group.spanning_tree().edges:
-        val = u[a] ^ c(a, gens[i])
-        if is_tree:
-            u[b] = val
-        else:
-            out.append(val ^ u[b])
-    return np.concatenate(out, axis=-1)
+    the Schreier relators (relator_walk with step c, read mod 2), in the
+    column order of _schreier_walk's system, which walks the same edges."""
+    gens = group.generators()
+    rels = relator_walk(group, lambda a, i: c(a, gens[i]), 0)[1]
+    return np.concatenate(rels, axis=-1) & 1
 
 
 def alpha_image(lat: GLattice) -> List[int]:
@@ -886,13 +878,14 @@ def coflasque_resolution(lat: GLattice,
     The cover is a sum of coset lattices tensored with fixed rows of the
     input, chosen top-down (_top_down_blocks); evaluation at coset
     representatives maps it onto the input. A permutation lattice is its
-    own cover. pad_free appends redundant free columns, giving an
-    inequivalent resolution for cross-checks.
+    own cover, and so is the zero lattice, which has nothing to pad.
+    pad_free appends redundant free columns, giving an inequivalent
+    resolution for cross-checks.
     """
     if lat.mod2_mask is not None:
         raise IncompatibleOperands("resolution needs a free lattice")
     group = lat.group
-    if lat.permutation and pad_free == 0:
+    if lat.rank == 0 or (lat.permutation and pad_free == 0):
         zero = GLattice(group,
                         [np.zeros((0, 0), dtype=np.int64)
                          for _ in group.generators()],
@@ -932,8 +925,11 @@ def phi(group: FiniteGroup, lat: Optional[GLattice] = None,
 
     Defaults to the marginal quotient lattice of the group. The value is the
     connecting image of a coflasque kernel; with verify_independence a
-    second, larger resolution must give the same answer.
+    second, larger resolution must give the same answer. A lattice over
+    another group raises IncompatibleOperands.
     """
+    if lat is not None and lat.group is not group:
+        raise IncompatibleOperands("lattice over a different group")
     if group.order > ALPHA_MAX_ORDER:
         raise BudgetExceeded(
             f"group order {group.order} exceeds the budget "
@@ -981,20 +977,6 @@ def lambda2_regular_decomposition(group: FiniteGroup) \
     if len(involutions) * (n // 2) + len(pair_reps) * n != rank:
         raise InternalInvariant("rank census does not match")
     return RegularExteriorDecomposition(involutions, pair_reps, rank)
-
-
-def induced_sign_lattice(group: FiniteGroup, involution: int) -> GLattice:
-    """Induction to the group of the sign lattice of one involution."""
-    if involution == 0 or int(group.inv[involution]) != involution:
-        raise ValidationError("element is not an involution")
-    sub = Subgroup(group, sorted({0, involution}))
-    reps = sub.coset_reps()
-    coset, pos = sub.coset_table()
-    acts = []
-    for g in group.generators():
-        x = group.table[g, reps]
-        acts.append((coset[x], np.where(pos[x] == 0, 1, -1)))
-    return GLattice(group, acts, rank=len(reps), name="induced-sign")
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,17 @@ These routes are slow or exponentially large, so no production path runs
 them: the diagonal route of the cup product, the permutation splitting of
 the exterior sequence, the pullback lattice, the every-class coflasque
 cover, the per-basis Bockstein routes of the Sq1 and integral images,
-the bar-pair and mod-2-cocycle routes of the connecting image, and the
-class-by-class transfer span, with one resolution per subgroup class.
+the bar-pair and mod-2-cocycle routes of the connecting image, the
+class-by-class transfer span, with one resolution per subgroup class, and
+the abelianization through the commutator quotient group. It also holds
+the helpers that only tests call: subgroup closure as a set, right-coset
+representatives, the minimality check of a resolution, and the induced
+sign lattice.
 
 Not collected as a test module. pytest's default import mode puts tests/
 on sys.path, so test modules import it as `oracles`.
 """
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 from unittest import mock
 
 import numpy as np
@@ -19,18 +23,64 @@ from cohlat import lattices
 from cohlat.cohomology import GroupCohomology, default_modulus_exp
 from cohlat.criterion import SubgroupTerm, transfer_cup_image
 from cohlat.errors import (BudgetExceeded, CoflasquenessCheckFailed,
-                           IncompatibleOperands, InternalInvariant)
-from cohlat.groups import subgroup_classes
+                           IncompatibleOperands, InternalInvariant,
+                           ValidationError)
+from cohlat.groups import (FiniteGroup, Subgroup, _generated,
+                           commutator_subgroup, quotient_group,
+                           subgroup_classes)
 from cohlat.lattices import (CoflasqueResolution, GLattice, MNQData,
                              _diag_block, _equivariant, _marginal_quotient,
                              _pair_arrays, _pair_lattice, _sublattice_action,
                              _wedge_minors_of_map, direct_sum, exterior_ses,
                              h1_integral, lambda2)
 from cohlat.linalg import (GF2Matrix, IntSolver, Subspace, int_left_kernel,
-                           kernel_basis_modk)
+                           invariant_factors, kernel_basis_modk, row_hnf)
 from cohlat.resolution import GModuleComplex, lift_chain_map
 
 TENSOR_SQUARE_MAX_COORDS = 20000    # per degree, for the diagonal route
+
+
+# -- group helpers only tests call --
+
+
+def closure(group: FiniteGroup, seed: Iterable[int]) -> set:
+    """Subgroup generated by the seed elements."""
+    return set(_generated(group, [int(s) for s in seed]).tolist())
+
+
+def right_coset_reps(sub: Subgroup) -> np.ndarray:
+    """Right-coset representatives (cosets Hg), identity first."""
+    pos = sub.right_coset_table()[1]
+    return np.flatnonzero(pos == 0).astype(np.int64)
+
+
+def abelianization_by_quotient(group: FiniteGroup) -> List[int]:
+    """Invariant factors of G/[G,G] (1s dropped), via Smith form of the
+    relation matrix e_i + e_j - e_{i*j} of the commutator quotient."""
+    derived = commutator_subgroup(group)
+    quot, _ = quotient_group(group, sorted(derived))
+    m = quot.order
+    rels = [np.zeros(m, dtype=np.int64)]
+    rels[0][0] = 1
+    for i in range(m):
+        for j in range(i, m):
+            r = np.zeros(m, dtype=np.int64)
+            r[i] += 1
+            r[j] += 1
+            r[int(quot.table[i, j])] -= 1
+            rels.append(r)
+    hnf, _ = row_hnf(np.array(rels))
+    facs = invariant_factors(hnf)
+    free = m - hnf.shape[0]
+    if free != 0:
+        raise InternalInvariant("commutator quotient of a finite group must be finite")
+    return facs
+
+
+def check_minimal(gc: GroupCohomology) -> bool:
+    """Mod-2 differentials of a minimal resolution all vanish."""
+    return not any(gc.delta(i, 1).any()
+                   for i in range(gc.max_degree))
 
 
 # -- the transfer span, one class at a time --
@@ -196,6 +246,20 @@ def integral_reduction_image_by_bocksteins(gc: GroupCohomology,
 
 
 # -- lattice constructions --
+
+
+def induced_sign_lattice(group: FiniteGroup, involution: int) -> GLattice:
+    """Induction to the group of the sign lattice of one involution."""
+    if involution == 0 or int(group.inv[involution]) != involution:
+        raise ValidationError("element is not an involution")
+    sub = Subgroup(group, sorted({0, involution}))
+    reps = sub.coset_reps()
+    coset, pos = sub.coset_table()
+    acts = []
+    for g in group.generators():
+        x = group.table[g, reps]
+        acts.append((coset[x], np.where(pos[x] == 0, 1, -1)))
+    return GLattice(group, acts, rank=len(reps), name="induced-sign")
 
 
 def permutation_splitting(lat: GLattice) -> np.ndarray:

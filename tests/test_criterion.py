@@ -15,10 +15,10 @@ from cohlat.criterion import (MIN_MAX_DEGREE, CriterionConfig,
                               transfer_cup_span, triple_cup_span)
 from cohlat.errors import ModulusTooSmall, ValidationError
 from cohlat.groups import (BUILTIN_GROUPS, FiniteGroup, Subgroup,
-                           builtin_group, closure, cyclic_group,
+                           builtin_group, cyclic_group,
                            direct_product, subgroup_classes)
 from cohlat.linalg import GF2Matrix, Subspace
-from oracles import transfer_cup_span_by_class
+from oracles import closure, transfer_cup_span_by_class
 
 
 def _characters(group):

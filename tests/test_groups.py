@@ -1,4 +1,6 @@
 """Group layer tests: validation, builtins, subgroup classes, abelianization."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,13 @@ from cohlat import groups
 from cohlat.errors import IdentityNotZero, NotAGroup, ValidationError
 from cohlat.groups import (BUILTIN_GROUPS, FiniteGroup, Subgroup,
                            _conjugacy_key, abelianization, builtin_group,
-                           closure, commutator_subgroup, cyclic_group,
+                           commutator_subgroup, cyclic_group,
                            dihedral_group, direct_product, group_from_json,
                            isomorphism, load_group, quaternion_group,
-                           quotient_group, subgroup_classes, sylow2_sz8)
+                           quotient_group, relator_walk, subgroup_classes,
+                           sylow2_sz8)
+
+from oracles import abelianization_by_quotient, closure, right_coset_reps
 
 
 # --- independent oracle helpers (no library code) ---
@@ -396,7 +401,7 @@ def test_cosets_partition():
         assert not covered & coset
         covered |= coset
     assert covered == set(range(8))
-    rreps = h.right_coset_reps()
+    rreps = right_coset_reps(h)
     covered = set()
     for r in rreps:
         covered |= {g.mul(int(x), int(r)) for x in h.elements}
@@ -412,7 +417,7 @@ def test_coset_table_matches_the_coset_loop(name):
     for h in subgroup_classes(g):
         sides = [(lambda r, x: g.mul(r, x), h.coset_table(), h.coset_reps()),
                  (lambda r, x: g.mul(x, r), h.right_coset_table(),
-                  h.right_coset_reps())]
+                  right_coset_reps(h))]
         for mul, (coset, pos), got_reps in sides:
             seen = np.zeros(g.order, dtype=bool)
             reps = []
@@ -570,6 +575,60 @@ def test_quotient_requires_normal():
 ])
 def test_abelianization(name, expected):
     assert abelianization(builtin_group(name)) == expected
+
+
+def _symmetric_group(k):
+    """S_k on the permutations of range(k) in lex order, so the identity is
+    element 0; p * q is the permutation x -> p[q[x]]."""
+    perms = list(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup(np.array([[index[tuple(p[x] for x in q)]
+                                  for q in perms] for p in perms]),
+                       name=f"S{k}")
+
+
+def test_abelianization_matches_the_commutator_quotient():
+    # the local group of every subgroup class of the built-ins and of
+    # C2 x sz8-sylow, and groups that are not 2-groups, with every class of
+    # S4
+    s4 = _symmetric_group(4)
+    class_groups = [sub.as_group()[0]
+                    for g in [builtin_group(n) for n in BUILTIN_GROUPS]
+                    + [direct_product(cyclic_group(2), sylow2_sz8())]
+                    for sub in subgroup_classes(g)]
+    assert len(class_groups) == 409
+    c3 = cyclic_group(3)
+    others = [cyclic_group(n) for n in (1, 3, 6, 9)] + [
+        dihedral_group(n) for n in (6, 10, 12)] + [
+        direct_product(c3, builtin_group("V4")), _symmetric_group(3), s4,
+        quaternion_group(32), direct_product(cyclic_group(6), cyclic_group(4))]
+    others += [sub.as_group()[0] for sub in subgroup_classes(s4)]
+    for g in class_groups + others:
+        assert abelianization(g) == abelianization_by_quotient(g), g
+    assert abelianization(s4) == [2]
+    assert abelianization(direct_product(c3, builtin_group("V4"))) == [2, 6]
+
+
+def test_abelianization_of_the_trivial_group():
+    # no generators and no relators: Z^0
+    assert abelianization(cyclic_group(1)) == []
+
+
+def test_relator_walk_reads_a_homomorphism():
+    # with step chi(s_i) for a homomorphism chi onto (Z/m)^k, u(g) = chi(g)
+    # mod m and every relator reads 0 mod m; the tables index C4xC4 as
+    # 4a + b, D4 as i + 4j (j = 1 the reflections), sz8-sylow as 8a + b
+    cases = [("C4xC4", 4, lambda g: np.array([g // 4, g % 4])),
+             ("D4", 2, lambda g: np.array([g // 4])),
+             ("sz8-sylow", 2, lambda g: (g // 8) >> np.arange(3) & 1)]
+    for name, m, chi in cases:
+        g = builtin_group(name)
+        gens = g.generators()
+        u, rels = relator_walk(g, lambda a, i: chi(gens[i]), 0 * chi(0))
+        assert list(u) == list(g.spanning_tree().order)
+        assert len(rels) == g.order * (len(gens) - 1) + 1
+        assert all(not ((u[x] - chi(x)) % m).any() for x in range(g.order))
+        assert all(not (r % m).any() for r in rels), name
 
 
 # --- io ---

@@ -24,7 +24,7 @@ from cohlat.lattices import (GLattice, LatticeSES, _diag_block,
                              _wedge_minors_of_map, alpha_image, build_mnq,
                              builtin_lattice, coflasque_resolution, direct_sum,
                              exterior_of_rank_one_extension, exterior_ses,
-                             gamma2, h1_integral, induced_sign_lattice,
+                             gamma2, h1_integral,
                              integral_cocycles, lambda2,
                              lambda2_regular_decomposition, lattice_from_json,
                              mod2_reduction, phi, two_slot_extension,
@@ -34,7 +34,8 @@ from cohlat.linalg import (int_spans_equal, invariant_factors,
 
 from oracles import (_alpha_by_bar_pairs, _alpha_by_mod2_cocycles,
                      _bfs_reference, _schreier_reference,
-                     permutation_splitting, pullback_lattice,
+                     induced_sign_lattice, permutation_splitting,
+                     pullback_lattice,
                      untrimmed_resolution)
 
 
@@ -1484,6 +1485,31 @@ def test_lattice_constructions_keep_their_bytes(name):
 def test_phi_order_budget():
     with pytest.raises(BudgetExceeded):
         phi(builtin_group("sz8-sylow"))
+
+
+def test_phi_of_the_zero_lattice_is_empty():
+    # the zero lattice is the empty permutation lattice, its own cover,
+    # padded or not
+    for name in ("C2", "C4", "V4"):
+        g = builtin_group(name)
+        empty = np.zeros(0, dtype=np.int64)
+        for lat in (GLattice.trivial(g, 0),
+                    GLattice(g, [(empty, empty) for _ in g.generators()])):
+            assert lat.rank == 0
+            assert phi(g, lat) == []
+            assert phi(g, lat, verify_independence=True) == []
+            for pad in (0, 1):
+                res = coflasque_resolution(lat, pad_free=pad)
+                assert res.kernel_lattice.rank == 0 and res.cover.rank == 0
+
+
+def test_phi_refuses_a_lattice_over_another_group():
+    v4, c4 = builtin_group("V4"), builtin_group("C4")
+    for group, lat in ((cyclic_group(1), builtin_lattice("M", v4)),
+                       (c4, builtin_lattice("M", v4)),
+                       (c4, GLattice.regular(builtin_group("sz8-sylow")))):
+        with pytest.raises(IncompatibleOperands, match="different group"):
+            phi(group, lat)
 
 
 # -- regular exterior census and induction --
